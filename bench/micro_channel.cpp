@@ -1,30 +1,25 @@
 /// @file micro_channel.cpp
 /// Channel-substrate microbenchmarks: the per-sample fading cost in
-/// isolation, v1 (libm cos) vs v2 (pinned polynomial kernel), scalar vs
-/// block. This is the term that dominates full-grid sweeps (~85% of
-/// micro_sweep wall clock pre-v2; see docs/ANALYSIS.md), so these numbers
-/// are the denominator behind every BENCH_sweep.json datapoint.
+/// isolation. This is the term that dominated full-grid sweeps (~85% of
+/// micro_sweep wall clock before the pinned cos kernel; see
+/// docs/ANALYSIS.md), so these numbers are the denominator behind every
+/// BENCH_sweep.json datapoint.
 ///
-/// Four measurements:
-///  * BM_FaderV1 / BM_FaderV2      — one power_gain(t) per iteration, the
+/// Three measurements:
+///  * BM_FaderV2                   — one power_gain(t) per iteration, the
 ///    event-driven access pattern (arbitrary t, no state);
-///  * BM_FaderV2Block              — amortized per-sample cost of the tiled
-///    power_gain_block path (the trajectory-precompute pattern);
-///  * BM_SnrV1 / BM_SnrV2          — the full RayleighSnr::snr_db stack the
+///  * BM_SnrV2                     — the full RayleighSnr::snr_db stack the
 ///    PHY actually calls (fader + shadowing + dB conversion);
-///  * BM_CosTurnsVsLibm            — the raw kernel gap, 32 cosines per
-///    iteration to mirror one 16-oscillator fader sample.
+///  * BM_CosTurnsX32 / BM_LibmCosX32 — the raw kernel vs libm gap, 32
+///    cosines per iteration to mirror one 16-oscillator fader sample.
 ///
 /// Args(oscillators): 8, 16 (the engine default), 32.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <cstddef>
-#include <vector>
 
 #include "channel/fastcos.hpp"
-#include "channel/jakes.hpp"
 #include "channel/jakes_v2.hpp"
 #include "channel/snr_process.hpp"
 #include "util/rng.hpp"
@@ -32,18 +27,6 @@
 namespace {
 
 using namespace wdc;
-
-void BM_FaderV1(benchmark::State& state) {
-  Rng rng(42);
-  JakesFader f(8.0, rng, static_cast<unsigned>(state.range(0)));
-  double t = 0.0;
-  for (auto _ : state) {
-    t += 0.013;
-    benchmark::DoNotOptimize(f.power_gain(t));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_FaderV1)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_FaderV2(benchmark::State& state) {
   Rng rng(42);
@@ -57,40 +40,9 @@ void BM_FaderV2(benchmark::State& state) {
 }
 BENCHMARK(BM_FaderV2)->Arg(8)->Arg(16)->Arg(32);
 
-/// Amortized per-sample cost of the block path; iteration = one 1024-sample
-/// block, items = samples so items/s is comparable with the scalar fader
-/// benchmarks above.
-void BM_FaderV2Block(benchmark::State& state) {
-  Rng rng(42);
-  JakesFaderV2 f(8.0, rng, static_cast<unsigned>(state.range(0)));
-  constexpr std::size_t kBlock = 1024;
-  std::vector<double> out(kBlock);
-  double t0 = 0.0;
-  for (auto _ : state) {
-    f.power_gain_block(t0, 0.001, kBlock, out.data());
-    benchmark::DoNotOptimize(out.data());
-    t0 += 0.001 * static_cast<double>(kBlock);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kBlock));
-}
-BENCHMARK(BM_FaderV2Block)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_SnrV1(benchmark::State& state) {
-  Rng rng(7);
-  RayleighSnr snr(12.0, 8.0, 4.0, 30.0, rng, 16, ChannelVersion::kJakesV1);
-  double t = 0.0;
-  for (auto _ : state) {
-    t += 0.013;
-    benchmark::DoNotOptimize(snr.snr_db(t));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SnrV1);
-
 void BM_SnrV2(benchmark::State& state) {
   Rng rng(7);
-  RayleighSnr snr(12.0, 8.0, 4.0, 30.0, rng, 16, ChannelVersion::kJakesV2);
+  RayleighSnr snr(12.0, 8.0, 4.0, 30.0, rng, 16);
   double t = 0.0;
   for (auto _ : state) {
     t += 0.013;

@@ -5,7 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "channel/fsmc.hpp"
-#include "channel/jakes.hpp"
+#include "channel/jakes_v2.hpp"
 #include "engine/simulation.hpp"
 #include "phy/mcs.hpp"
 #include "sim/event_queue.hpp"
@@ -53,7 +53,7 @@ BENCHMARK(BM_EventQueuePushPop)->Arg(100)->Arg(10000);
 
 void BM_JakesPowerGain(benchmark::State& state) {
   Rng rng(3);
-  JakesFader fader(10.0, rng, static_cast<unsigned>(state.range(0)));
+  JakesFaderV2 fader(10.0, rng, static_cast<unsigned>(state.range(0)));
   double t = 0.0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(fader.power_gain(t));

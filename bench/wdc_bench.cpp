@@ -52,8 +52,7 @@ int run(int argc, char** argv) {
   const SweepOptions base_opts = sweeps::options_from_config(cfg);
   const std::string csv = cfg.get_string("csv", "");
   const std::string json = cfg.get_string("json", "");
-  for (const auto& key : cfg.unused_keys())
-    std::cerr << "warning: unknown config key '" << key << "'\n";
+  cfg.require_all_used();
 
   for (const auto& key : keys) {
     const SweepSpec* spec = sweeps::find(key);

@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   base.sim_time_s = cfg.get_double("sim_time", 2500.0);
   base.warmup_s = cfg.get_double("warmup", 400.0);
   base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 17));
+  cfg.require_all_used();
 
   std::cout << "campus_webcache — " << base.num_clients << " clients, "
             << base.db.num_items << " objects, bursty downlink "

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const double mean_snr = cfg.get_double("mean_snr", 18.0);
   const double doppler = cfg.get_double("doppler", 8.0);
   const double trace_s = cfg.get_double("trace_s", 3.0);
+  cfg.require_all_used();
 
   const McsTable table = McsTable::edge(4);
 

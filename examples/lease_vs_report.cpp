@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
   base.sim_time_s = cfg.get_double("sim_time", 2000.0);
   base.warmup_s = cfg.get_double("warmup", 300.0);
   base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 11));
+  cfg.require_all_used();
   base.proto.cbl_lease_s = 120.0;
 
   struct Env {

@@ -13,9 +13,14 @@
 int main(int argc, char** argv) {
   wdc::Config cfg;
   cfg.load_args(argc, argv);
-  wdc::Scenario sc = wdc::Scenario::from_config(cfg);
-  for (const auto& key : cfg.unused_keys())
-    std::cerr << "warning: unknown config key '" << key << "'\n";
+  wdc::Scenario sc;
+  try {
+    sc = wdc::Scenario::from_config(cfg);
+    cfg.require_all_used();  // a misspelt knob is an error, not a default
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 
   std::cout << "wdc-sim quickstart — protocol " << wdc::to_string(sc.protocol)
             << ", " << sc.num_clients << " clients, " << sc.db.num_items

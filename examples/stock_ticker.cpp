@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   s.sim_time_s = 300.0 * slices + 100.0;
   s.warmup_s = 100.0;
   s.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 3));
+  cfg.require_all_used();
 
   std::cout << "stock_ticker — protocol " << to_string(s.protocol) << ", "
             << s.db.update_rate << " updates/s on " << s.db.hot_items

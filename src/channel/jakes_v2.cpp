@@ -25,10 +25,9 @@ JakesFaderV2::JakesFaderV2(double doppler_hz, Rng& rng, unsigned oscillators)
   freq_turns_.resize(2 * static_cast<std::size_t>(n));
   phase_turns_.resize(2 * static_cast<std::size_t>(n));
   for (unsigned k = 0; k < n; ++k) {
-    // Same Pop–Beaulieu geometry and the same three draws per oscillator as
-    // v1 (θ, φ_I, φ_Q in that order): a v1 and a v2 constructed from the same
-    // Rng state share every phase, and anything split() off afterwards (the
-    // shadowing stream) is unperturbed by the version choice.
+    // Pop–Beaulieu geometry, three draws per oscillator (θ, φ_I, φ_Q in that
+    // order) exactly as the libm oracle draws them, so a same-seed pair
+    // shares every phase.
     const double theta = rng.uniform(0.0, 2.0 * kPi);
     const double alpha = (2.0 * kPi * k + theta) / (4.0 * n);
     // Stored in turns: ω/2π = f_d·cos(α) (Hz), φ/2π ∈ [0, 1).
@@ -46,8 +45,8 @@ double JakesFaderV2::power_gain(SimTime t) const {
   const double* p = phase_turns_.data();
   // Straight-line kernel into a scratch buffer (no cross-iteration dependency)
   // so the compiler vectorizes the polynomial across all 2n sinusoids; the
-  // reductions stay scalar and in fixed k-ascending order — the same order
-  // power_gain_block uses, which is what makes the two paths bit-identical.
+  // reductions stay scalar and in fixed k-ascending order, which is what
+  // pins the result bits.
   double buf[2 * kMaxOscillators];
   for (std::size_t k = 0; k < 2 * n; ++k)
     buf[k] = fastmath::cos_turns(f[k] * t + p[k]);
@@ -61,44 +60,6 @@ double JakesFaderV2::power_gain(SimTime t) const {
 
 double JakesFaderV2::power_gain_db(SimTime t) const {
   return 10.0 * std::log10(std::max(power_gain(t), 1e-12));
-}
-
-void JakesFaderV2::power_gain_block(SimTime t0, double dt, std::size_t count,
-                                    double* out) const {
-  // Tile the grid; within a tile run oscillators outer / samples inner so the
-  // inner loop is a contiguous non-reducing stream the vectorizer loves.
-  // Accumulation order over k is ascending exactly as in power_gain, and each
-  // sample time is the same t0 + dt·i expression — bit-identity with the
-  // pointwise path is by construction, and tests/channel pins it.
-  constexpr std::size_t kTile = 128;
-  const std::size_t n = n_;
-  const double* f = freq_turns_.data();
-  const double* p = phase_turns_.data();
-  double ts[kTile], hi[kTile], hq[kTile];
-  for (std::size_t base = 0; base < count; base += kTile) {
-    const std::size_t m = std::min(kTile, count - base);
-    for (std::size_t i = 0; i < m; ++i)
-      ts[i] = t0 + dt * static_cast<double>(base + i);
-    for (std::size_t i = 0; i < m; ++i) hi[i] = 0.0;
-    for (std::size_t i = 0; i < m; ++i) hq[i] = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      const double fk = f[k];
-      const double pk = p[k];
-      for (std::size_t i = 0; i < m; ++i)
-        hi[i] += fastmath::cos_turns(fk * ts[i] + pk);
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      const double fk = f[n + k];
-      const double pk = p[n + k];
-      for (std::size_t i = 0; i < m; ++i)
-        hq[i] += fastmath::cos_turns(fk * ts[i] + pk);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      const double a = hi[i] * norm_;
-      const double b = hq[i] * norm_;
-      out[base + i] = a * a + b * b;
-    }
-  }
 }
 
 }  // namespace wdc

@@ -2,31 +2,27 @@
 #define WDC_CHANNEL_JAKES_V2_HPP
 
 /// @file jakes_v2.hpp
-/// Second-generation Jakes fader: the same Pop–Beaulieu sum-of-sinusoids model
-/// as JakesFader (identical oscillator geometry, identical RNG draw order, so
-/// a v1 and a v2 built from the same stream share every arrival angle and
-/// phase), but the per-sample evaluation runs through the pinned polynomial
-/// kernel in fastcos.hpp instead of 32 glibc `cos` calls.
-///
-/// Consequences of that swap:
+/// The Rayleigh fader: a Pop–Beaulieu sum-of-sinusoids Jakes simulator with
+/// random phases. It produces a *time-coherent* power gain g(t) = |h(t)|²,
+/// E[g] = 1, with autocorrelation ≈ J₀(2π·f_d·τ)² — the property link
+/// adaptation exploits (good now ⇒ probably good a moment later). Each sample
+/// runs through the pinned polynomial kernel in fastcos.hpp rather than 2n
+/// glibc `cos` calls:
 ///  - ~an order of magnitude cheaper per sample, and the cost is plain
 ///    vectorizable arithmetic rather than a libm call;
 ///  - bit-deterministic across platforms/libms (glibc `cos` is only pinned
 ///    per libm build) — the hot loop is pure IEEE arithmetic compiled with
-///    contraction off;
-///  - NOT bit-identical to v1: the kernel differs from libm cos by ~1e-11 per
-///    oscillator, so simulation digests drift and goldens are re-pinned under
-///    `channel_version=jakes_v2`. Statistical equivalence (moments, J₀²
-///    autocorrelation, level crossings, fade durations) is locked by the
-///    `-L channel` differential tier; v1 stays reachable via
-///    `channel_version=jakes_v1` and keeps its own pinned goldens.
+///    contraction off.
 ///
-/// Like v1, g(t) is a pure function of t given the phases — no state advance,
-/// safe to evaluate from any thread, bit-stable under re-evaluation. The block
-/// API streams a uniform grid of power gains bit-identically to the pointwise
-/// path (same summation order), trading the per-call setup for long
-/// vectorizable inner loops — the substrate sweep workers use to precompute
-/// per-client SNR trajectories instead of re-evaluating the fader per event.
+/// The libm-cos original survives only as a test oracle (JakesFader in
+/// tests/channel/jakes_oracle.hpp). It draws the same randomness in the same
+/// order, so a same-seed pair shares every arrival angle and phase and differs
+/// only by the kernel's ≤ ~1e-11 per-oscillator error; the `-L channel` tier
+/// holds this fader to it (moments, J₀² autocorrelation, level crossings,
+/// fade durations).
+///
+/// g(t) is a pure function of t given the phases — no state advance, safe to
+/// evaluate from any thread, bit-stable under re-evaluation.
 
 #include <cstddef>
 #include <vector>
@@ -41,8 +37,8 @@ class JakesFaderV2 {
   /// Hard cap on oscillators per quadrature branch (stack scratch bound).
   static constexpr unsigned kMaxOscillators = 64;
 
-  /// Draws 3 uniforms per oscillator in exactly v1's order (θ, φ_I, φ_Q), so
-  /// the two versions consume identical randomness from a shared stream.
+  /// Draws 3 uniforms per oscillator (θ, φ_I, φ_Q, in that order) — the
+  /// same stream consumption as the libm oracle.
   JakesFaderV2(double doppler_hz, Rng& rng, unsigned oscillators = 16);
 
   /// Instantaneous power gain |h(t)|² (linear, mean ≈ 1).
@@ -50,12 +46,6 @@ class JakesFaderV2 {
 
   /// Power gain in dB.
   double power_gain_db(SimTime t) const;
-
-  /// Fill out[0..count) with power_gain(t0 + i·dt) — bit-identical to calling
-  /// power_gain at those times, but evaluated sample-blocked so the kernel
-  /// vectorizes over the grid as well as over oscillators.
-  void power_gain_block(SimTime t0, double dt, std::size_t count,
-                        double* out) const;
 
   double doppler_hz() const { return doppler_hz_; }
   unsigned oscillators() const { return n_; }

@@ -1,57 +1,19 @@
 #include "channel/snr_process.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 namespace wdc {
 
-void SnrProcess::fill_snr_db(SimTime t0, double dt, std::size_t count,
-                             double* out) {
-  for (std::size_t i = 0; i < count; ++i)
-    out[i] = snr_db(t0 + dt * static_cast<double>(i));
-}
-
-SnrTrajectory::SnrTrajectory(SnrProcess& proc, SimTime t0, double dt,
-                             std::size_t count)
-    : t0_(t0), dt_(dt), snr_db_(count) {
-  proc.fill_snr_db(t0, dt, count, snr_db_.data());
-}
-
 RayleighSnr::RayleighSnr(double mean_snr_db, double doppler_hz,
                          double shadow_sigma_db, double shadow_decorr_s, Rng& rng,
-                         unsigned oscillators, ChannelVersion version)
+                         unsigned oscillators)
     : mean_snr_db_(mean_snr_db),
-      // Both faders consume identical randomness (3 uniforms per oscillator,
-      // same order), so the split() the shadowing stream sees is independent
-      // of the version choice — switching versions perturbs nothing else.
-      v1_(version == ChannelVersion::kJakesV1
-              ? std::make_unique<JakesFader>(doppler_hz, rng, oscillators)
-              : nullptr),
-      v2_(version == ChannelVersion::kJakesV2
-              ? std::make_unique<JakesFaderV2>(doppler_hz, rng, oscillators)
-              : nullptr),
+      fader_(doppler_hz, rng, oscillators),
       shadowing_(shadow_sigma_db, shadow_decorr_s, rng.split()) {}
 
 double RayleighSnr::snr_db(SimTime t) {
-  const double fade_db = v2_ ? v2_->power_gain_db(t) : v1_->power_gain_db(t);
-  return mean_snr_db_ + shadowing_.gain_db(t) + fade_db;
-}
-
-void RayleighSnr::fill_snr_db(SimTime t0, double dt, std::size_t count,
-                              double* out) {
-  if (!v2_) {
-    SnrProcess::fill_snr_db(t0, dt, count, out);
-    return;
-  }
-  std::vector<double> gain(count);
-  v2_->power_gain_block(t0, dt, count, gain.data());
-  for (std::size_t i = 0; i < count; ++i) {
-    const SimTime t = t0 + dt * static_cast<double>(i);
-    out[i] = mean_snr_db_ + shadowing_.gain_db(t) +
-             10.0 * std::log10(std::max(gain[i], 1e-12));
-  }
+  return mean_snr_db_ + shadowing_.gain_db(t) + fader_.power_gain_db(t);
 }
 
 FsmcSnr::FsmcSnr(double mean_snr_db, double doppler_hz, unsigned num_states,
@@ -70,20 +32,6 @@ double GilbertElliottSnr::mean_snr_db() const {
   const double lin = pg * std::pow(10.0, good_snr_db_ / 10.0) +
                      (1.0 - pg) * std::pow(10.0, bad_snr_db_ / 10.0);
   return 10.0 * std::log10(lin);
-}
-
-ChannelVersion channel_version_from_string(const std::string& name) {
-  if (name == "jakes_v1") return ChannelVersion::kJakesV1;
-  if (name == "jakes_v2") return ChannelVersion::kJakesV2;
-  throw std::invalid_argument("unknown channel version: " + name);
-}
-
-std::string to_string(ChannelVersion v) {
-  switch (v) {
-    case ChannelVersion::kJakesV1: return "jakes_v1";
-    case ChannelVersion::kJakesV2: return "jakes_v2";
-  }
-  return "?";
 }
 
 FadingModel fading_model_from_string(const std::string& name) {
@@ -112,7 +60,7 @@ std::unique_ptr<SnrProcess> make_snr_process(const FadingConfig& cfg,
     case FadingModel::kRayleigh:
       return std::make_unique<RayleighSnr>(mean_snr_db, cfg.doppler_hz,
                                            cfg.shadow_sigma_db, cfg.shadow_decorr_s,
-                                           rng, 16, cfg.channel_version);
+                                           rng);
     case FadingModel::kFsmc:
       return std::make_unique<FsmcSnr>(mean_snr_db, cfg.doppler_hz, cfg.fsmc_states,
                                        cfg.fsmc_slot_s, rng);

@@ -8,36 +8,17 @@
 /// noise) with a small-scale fading model. Queries must be non-decreasing in time
 /// (discrete-event simulations naturally satisfy this).
 
-#include <cstddef>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "channel/fsmc.hpp"
 #include "channel/gilbert_elliott.hpp"
-#include "channel/jakes.hpp"
 #include "channel/jakes_v2.hpp"
 #include "channel/shadowing.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace wdc {
-
-/// Which generation of the Rayleigh fading substrate a scenario runs.
-///
-/// v1 is the original libm-cos sum-of-sinusoids; v2 is the vectorized
-/// pinned-polynomial kernel (jakes_v2.hpp) — statistically equivalent (proven
-/// by the `-L channel` differential tier) though not bit-identical per sample
-/// (≤ ~5e-9 dB apart). Each version is regression-locked by its own golden
-/// table (tests/engine/golden_table.hpp; the tables coincide today because
-/// the kernel gap crosses no decision boundary at the pinned operating
-/// point). New scenarios default to v2; v1 stays reachable for reproducing
-/// pre-v2 results.
-enum class ChannelVersion { kJakesV1, kJakesV2 };
-
-/// Parse "jakes_v1" / "jakes_v2"; throws on unknown name.
-ChannelVersion channel_version_from_string(const std::string& name);
-std::string to_string(ChannelVersion v);
 
 class SnrProcess {
  public:
@@ -46,36 +27,6 @@ class SnrProcess {
   virtual double snr_db(SimTime t) = 0;
   /// Long-run average SNR (dB) of the link (the γ̄ driving the fading model).
   virtual double mean_snr_db() const = 0;
-
-  /// Block form of snr_db: fill out[0..count) with snr_db(t0 + i·dt), i
-  /// ascending. Same non-decreasing-time contract as snr_db (the block may
-  /// not rewind behind an earlier query). The default loops over snr_db;
-  /// RayleighSnr overrides it with the fader's vectorized block kernel,
-  /// bit-identically to the loop — sweep workers can precompute per-client
-  /// trajectories and stream them instead of re-evaluating per event.
-  virtual void fill_snr_db(SimTime t0, double dt, std::size_t count,
-                           double* out);
-};
-
-/// A per-client SNR trajectory precomputed on a uniform grid — the streaming
-/// substrate for block-mode sweep workers. Construction drains `proc` through
-/// fill_snr_db once; samples are then O(1) lookups with no trig at all.
-class SnrTrajectory {
- public:
-  SnrTrajectory(SnrProcess& proc, SimTime t0, double dt, std::size_t count);
-
-  double snr_db_at(std::size_t i) const { return snr_db_[i]; }
-  SimTime time_at(std::size_t i) const {
-    return t0_ + dt_ * static_cast<double>(i);
-  }
-  std::size_t size() const { return snr_db_.size(); }
-  SimTime t0() const { return t0_; }
-  double dt() const { return dt_; }
-
- private:
-  SimTime t0_;
-  double dt_;
-  std::vector<double> snr_db_;
 };
 
 /// Constant SNR — unit tests and "ideal channel" ablations.
@@ -90,29 +41,19 @@ class FixedSnr final : public SnrProcess {
 };
 
 /// Rayleigh fading (Jakes) around a mean SNR, with optional lognormal shadowing.
-///
-/// `version` selects the fader generation. Both generations draw identical
-/// randomness in identical order (3 uniforms per oscillator, then one split
-/// for shadowing), so the version choice never perturbs the scenario's seed
-/// chain — switching it changes only how each cosine is evaluated.
 class RayleighSnr final : public SnrProcess {
  public:
   RayleighSnr(double mean_snr_db, double doppler_hz, double shadow_sigma_db,
-              double shadow_decorr_s, Rng& rng, unsigned oscillators = 16,
-              ChannelVersion version = ChannelVersion::kJakesV2);
+              double shadow_decorr_s, Rng& rng, unsigned oscillators = 16);
   double snr_db(SimTime t) override;
   double mean_snr_db() const override { return mean_snr_db_; }
-  /// Block path: v2 streams power gains through the fader's vectorized block
-  /// kernel (bit-identical to the pointwise loop); v1 falls back to the loop.
-  void fill_snr_db(SimTime t0, double dt, std::size_t count,
-                   double* out) override;
 
  private:
   double mean_snr_db_;
-  // Exactly one of the two faders is live, per `version` (a predictable
-  // branch per sample beats a virtual hop on the hottest call in the repo).
-  std::unique_ptr<JakesFader> v1_;
-  std::unique_ptr<JakesFaderV2> v2_;
+  // Declared (so constructed) before shadowing_: the fader's 3·n uniforms are
+  // drawn before the shadowing stream is split off — the seed chain every
+  // golden digest pins.
+  JakesFaderV2 fader_;
   Shadowing shadowing_;
 };
 
@@ -155,8 +96,6 @@ std::string to_string(FadingModel m);
 /// Parameters shared by all links of a scenario (per-link mean SNR differs).
 struct FadingConfig {
   FadingModel model = FadingModel::kRayleigh;
-  /// Rayleigh substrate generation (`channel_version` scenario key).
-  ChannelVersion channel_version = ChannelVersion::kJakesV2;
   double doppler_hz = 8.0;          ///< pedestrian-ish at 2 GHz
   double shadow_sigma_db = 0.0;     ///< lognormal shadowing σ (0 = off)
   double shadow_decorr_s = 30.0;

@@ -1,48 +1,22 @@
 #include "engine/replication.hpp"
 
-#include <atomic>
-#include <thread>
+#include <utility>
 
-#include "engine/simulation.hpp"
-#include "util/rng.hpp"
+#include "engine/sweep.hpp"
 
 namespace wdc {
 
 std::vector<Metrics> run_replications(const Scenario& scenario, unsigned reps,
                                       unsigned threads) {
-  if (reps == 0) return {};
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  threads = std::min(threads, reps);
-
-  // Pre-derive per-replication seeds so results don't depend on scheduling.
-  std::vector<std::uint64_t> seeds(reps);
-  SplitMix64 seeder(scenario.seed);
-  for (auto& s : seeds) s = seeder.next();
-
-  std::vector<Metrics> results(reps);
-  std::atomic<unsigned> next{0};
-  const auto worker = [&] {
-    for (;;) {
-      const unsigned i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= reps) return;
-      Scenario sc = scenario;
-      sc.seed = seeds[i];
-      results[i] = run_scenario(sc);
-    }
-  };
-
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
-  }
-  return results;
+  SweepSpec spec;
+  spec.variants.push_back({});
+  spec.axis.values = {0.0};
+  SweepOptions opts;
+  opts.reps = reps;
+  opts.threads = threads;
+  opts.base = scenario;
+  SweepGrid grid = run_sweep(spec, opts);
+  return std::move(grid.cells.front().reps);
 }
 
 ConfidenceInterval ci_of(const std::vector<Metrics>& reps,

@@ -2,7 +2,7 @@
 #define WDC_ENGINE_REPLICATION_HPP
 
 /// @file replication.hpp
-/// Independent-replication runner with thread-pool fan-out.
+/// Independent-replication runner: a one-cell run_sweep (engine/sweep.hpp).
 ///
 /// Each replication runs the same Scenario under a distinct seed derived from the
 /// base seed via SplitMix64 — results are identical whatever the thread count
@@ -18,7 +18,8 @@
 namespace wdc {
 
 /// Run `reps` replications of `scenario`. `threads` = 0 picks
-/// hardware_concurrency (min 1). Results are ordered by replication index.
+/// hardware_concurrency (min 1). Results are ordered by replication index; a
+/// throwing replication propagates as run_sweep documents.
 std::vector<Metrics> run_replications(const Scenario& scenario, unsigned reps,
                                       unsigned threads = 0);
 

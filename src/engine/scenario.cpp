@@ -110,8 +110,6 @@ Scenario Scenario::from_config(const Config& c, const Scenario& base) {
 
   s.fading.model =
       fading_model_from_string(c.get_string("fading", to_string(s.fading.model)));
-  s.fading.channel_version = channel_version_from_string(
-      c.get_string("channel_version", to_string(s.fading.channel_version)));
   s.fading.doppler_hz = c.get_double("doppler", s.fading.doppler_hz);
   s.fading.shadow_sigma_db = c.get_double("shadow_sigma", s.fading.shadow_sigma_db);
 

@@ -102,7 +102,7 @@ struct Scenario {
   McsTable make_mcs_table() const;
 
   /// Read overrides from a Config (key names documented in README). Unknown keys
-  /// are left for the caller to report via Config::unused_keys().
+  /// are left for the caller to reject via Config::require_all_used().
   static Scenario from_config(const Config& cfg);
 
   /// Same, but each override lands on top of `base` — the single-source-of-

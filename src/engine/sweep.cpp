@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -95,10 +96,9 @@ SweepGrid run_sweep(const SweepSpec& spec, const SweepOptions& opts,
     return grid;
   }
 
-  // Materialise every cell scenario and its replication seeds up front — the
-  // seed derivation matches run_replications exactly (SplitMix64 fan-out from
-  // the cell scenario's seed), so a sweep cell and a standalone replication
-  // batch of the same scenario are bit-identical.
+  // Materialise every cell scenario and its replication seeds up front: a
+  // SplitMix64 fan-out from the cell scenario's seed, so a cell depends on
+  // its own scenario only (run_replications is the one-cell case).
   std::vector<Scenario> scenarios;
   scenarios.reserve(ncells);
   grid.cells.resize(ncells);
@@ -151,38 +151,57 @@ SweepGrid run_sweep(const SweepSpec& spec, const SweepOptions& opts,
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> cells_done{0};
   std::mutex progress_mu;
+  // A throwing task stops the hand-out. Tasks are handed out in index order,
+  // so every task below a failed one has started and finishes before the
+  // join; the lowest failed index is then the task a serial run throws from.
+  std::atomic<bool> failed{false};
+  std::mutex error_mu;
+  std::size_t error_task = ntasks;
+  std::exception_ptr error;
 
+  const auto run_task = [&](std::size_t t) {
+    const std::size_t c = t / opts.reps;
+    const std::size_t r = t % opts.reps;
+    SweepCell& cell = grid.cells[c];
+    Scenario sc = scenarios[c];
+    sc.seed = cell.seeds[r];
+    // Trace sampling rides on the already-derived seed, so enabling it can
+    // never change which scenarios run or what they compute.
+    if (opts.trace_every > 0 && r % opts.trace_every == 0) {
+      sc.trace.enabled = true;
+      if (!opts.trace_dir.empty())
+        sc.trace.file = strfmt("%s/%s_v%zu_p%zu_r%zu.wdct",
+                               opts.trace_dir.c_str(), spec.key.c_str(),
+                               cell.variant, cell.point, r);
+    }
+    const auto rep_t0 = std::chrono::steady_clock::now();
+    cell.reps[r] = run_scenario(sc);
+    task_wall[t] = seconds_since(rep_t0);
+    if (remaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      // Last replication of this cell: its siblings' walls are visible now.
+      for (std::size_t i = 0; i < opts.reps; ++i)
+        cell.wall_s += task_wall[c * opts.reps + i];
+      const std::size_t done =
+          cells_done.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (progress) {
+        std::lock_guard<std::mutex> lock(progress_mu);
+        progress(SweepProgress{done, ncells, &cell});
+      }
+    }
+  };
   const auto worker = [&] {
-    for (;;) {
+    while (!failed.load(std::memory_order_relaxed)) {
       const std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
       if (t >= ntasks) return;
-      const std::size_t c = t / opts.reps;
-      const std::size_t r = t % opts.reps;
-      SweepCell& cell = grid.cells[c];
-      Scenario sc = scenarios[c];
-      sc.seed = cell.seeds[r];
-      // Trace sampling rides on the already-derived seed, so enabling it can
-      // never change which scenarios run or what they compute.
-      if (opts.trace_every > 0 && r % opts.trace_every == 0) {
-        sc.trace.enabled = true;
-        if (!opts.trace_dir.empty())
-          sc.trace.file = strfmt("%s/%s_v%zu_p%zu_r%zu.wdct",
-                                 opts.trace_dir.c_str(), spec.key.c_str(),
-                                 cell.variant, cell.point, r);
-      }
-      const auto rep_t0 = std::chrono::steady_clock::now();
-      cell.reps[r] = run_scenario(sc);
-      task_wall[t] = seconds_since(rep_t0);
-      if (remaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Last replication of this cell: its siblings' walls are visible now.
-        for (std::size_t i = 0; i < opts.reps; ++i)
-          cell.wall_s += task_wall[c * opts.reps + i];
-        const std::size_t done =
-            cells_done.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (progress) {
-          std::lock_guard<std::mutex> lock(progress_mu);
-          progress(SweepProgress{done, ncells, &cell});
+      try {
+        run_task(t);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (t < error_task) {
+          error_task = t;
+          error = std::current_exception();
         }
+        failed.store(true, std::memory_order_relaxed);
       }
     }
   };
@@ -195,6 +214,7 @@ SweepGrid run_sweep(const SweepSpec& spec, const SweepOptions& opts,
     for (unsigned i = 0; i < threads; ++i) pool.emplace_back(worker);
     for (auto& th : pool) th.join();
   }
+  if (error) std::rethrow_exception(error);
 
   grid.wall_s = seconds_since(t0);
   return grid;

@@ -10,9 +10,9 @@
 /// (variant × point × replication) grid on ONE shared worker pool, so a
 /// 5-protocol × 5-point figure keeps every core busy instead of serialising 25
 /// per-cell replication batches. Results are bit-identical whatever the thread
-/// count: per-cell replication seeds are derived exactly as run_replications
-/// derives them (SplitMix64 from the cell scenario's seed), and cells are
-/// stored in (variant, point, replication) order.
+/// count: per-cell replication seeds come from SplitMix64 seeded with the cell
+/// scenario's seed, and cells are stored in (variant, point, replication)
+/// order. run_replications (engine/replication.hpp) is the one-cell grid.
 
 #include <cstddef>
 #include <cstdint>
@@ -139,7 +139,10 @@ struct SweepGrid {
 };
 
 /// Execute the grid. Empty variant/axis sets yield an empty grid; reps = 0
-/// yields cells with no replications.
+/// yields cells with no replications. If a replication throws, no further
+/// tasks start and, once the running ones finish, the exception of the
+/// lowest-indexed failing task is rethrown — the one a serial run throws,
+/// whatever the thread count.
 SweepGrid run_sweep(const SweepSpec& spec, const SweepOptions& opts,
                     const SweepProgressFn& progress = {});
 

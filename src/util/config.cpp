@@ -100,6 +100,15 @@ std::vector<std::string> Config::unused_keys() const {
   return out;
 }
 
+void Config::require_all_used() const {
+  const auto unused = unused_keys();
+  if (unused.empty()) return;
+  std::string msg = "Config: unknown key(s)";
+  for (std::size_t i = 0; i < unused.size(); ++i)
+    msg += (i == 0 ? " '" : ", '") + unused[i] + "'";
+  throw std::runtime_error(msg);
+}
+
 std::vector<std::pair<std::string, std::string>> Config::items() const {
   return {values_.begin(), values_.end()};
 }

@@ -6,7 +6,7 @@
 ///
 /// Sources, later wins: programmatic defaults < config file (`# comment`, `key = value`
 /// lines) < command-line overrides (`key=value` tokens). Typed getters validate and
-/// record every key that was read, so unknown/misspelt keys can be reported.
+/// record every key that was read, so unknown/misspelt keys can be rejected.
 
 #include <cstdint>
 #include <map>
@@ -43,6 +43,11 @@ class Config {
 
   /// Keys present in the store that no getter has asked for (catch typos).
   std::vector<std::string> unused_keys() const;
+
+  /// Throw std::runtime_error naming every unused key, if there is any. CLIs
+  /// call it after their last getter, so a typo or a retired key fails the
+  /// run instead of silently running the defaults.
+  void require_all_used() const;
 
   /// All key/value pairs, sorted by key (for echoing the effective config).
   std::vector<std::pair<std::string, std::string>> items() const;

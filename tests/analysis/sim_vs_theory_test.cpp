@@ -4,7 +4,7 @@
 
 #include "analysis/fading_theory.hpp"
 #include "analysis/ir_theory.hpp"
-#include "channel/jakes.hpp"
+#include "channel/jakes_v2.hpp"
 #include "engine/simulation.hpp"
 
 /// Cross-validation: the simulator must reproduce the closed-form results where
@@ -101,7 +101,7 @@ TEST(SimVsTheory, TsReportBitsMatchExpectation) {
 
 TEST(SimVsTheory, JakesOutageMatchesRayleigh) {
   Rng rng(5);
-  JakesFader fader(8.0, rng, 32);
+  JakesFaderV2 fader(8.0, rng, 32);
   const double mean_db = 0.0;  // unit-mean fader ⇒ SNR == gain
   for (const double thr_db : {-10.0, -3.0, 0.0}) {
     int below = 0;
@@ -119,7 +119,7 @@ TEST(SimVsTheory, JakesFadeDurationMatchesAfd) {
   // the closed-form AFD.
   Rng rng(6);
   const double fd = 4.0;
-  JakesFader fader(fd, rng, 32);
+  JakesFaderV2 fader(fd, rng, 32);
   const double thr_db = -5.0;
   const double dt = 0.001;
   bool below = false;

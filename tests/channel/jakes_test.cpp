@@ -1,11 +1,12 @@
-#include "channel/jakes.hpp"
-
+/// The Jakes fader suites: the libm oracle's own properties (JakesFader), the
+/// production fader's parameter checks, and second-order statistics for both.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "analysis/fading_theory.hpp"
 #include "channel/jakes_v2.hpp"
+#include "jakes_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace wdc {
@@ -16,6 +17,13 @@ TEST(Jakes, RejectsBadParams) {
   EXPECT_THROW(JakesFader(0.0, rng), std::invalid_argument);
   EXPECT_THROW(JakesFader(-1.0, rng), std::invalid_argument);
   EXPECT_THROW(JakesFader(10.0, rng, 2), std::invalid_argument);
+}
+
+TEST(Jakes, V2RejectsOversizedEnsemble) {
+  Rng rng(7);
+  EXPECT_THROW(JakesFaderV2(10.0, rng, 65), std::invalid_argument);
+  EXPECT_THROW(JakesFaderV2(10.0, rng, 2), std::invalid_argument);
+  EXPECT_NO_THROW(JakesFaderV2(10.0, rng, 64));
 }
 
 TEST(Jakes, UnitMeanPower) {
@@ -98,10 +106,10 @@ TEST(Jakes, DbConversion) {
 }
 
 // ---------------------------------------------------------------------------
-// Second-order statistics vs Rayleigh theory, for BOTH fader generations.
-// Level-crossing rate and average fade duration are the statistics link
-// adaptation actually exploits (how often the channel dips, and for how
-// long), so both v1 and v2 must reproduce them — not just the amplitude
+// Second-order statistics vs Rayleigh theory, for the production fader and
+// its libm oracle. Level-crossing rate and average fade duration are the
+// statistics link adaptation actually exploits (how often the channel dips,
+// and for how long), so both must reproduce them — not just the amplitude
 // distribution.
 
 template <typename Fader>

@@ -49,33 +49,5 @@ INSTANTIATE_TEST_SUITE_P(
       return to_string(tpi.param.protocol);
     });
 
-/// Regression lock for the previous substrate generation: the same operating
-/// point forced to `channel_version = jakes_v1` must keep reproducing the
-/// pre-v2 pins (kGoldenV1) exactly. This is what keeps experiments recorded
-/// before the v2 switch reproducible from a current checkout.
-class GoldenDigestV1 : public ::testing::TestWithParam<GoldenEntry> {};
-
-TEST_P(GoldenDigestV1, V1SubstrateMatchesPreV2Pins) {
-  const GoldenEntry& expect = GetParam();
-  const Metrics m = run_scenario(
-      golden_scenario(expect.protocol, ChannelVersion::kJakesV1));
-  const std::uint64_t actual = metrics_digest(m);
-  if (std::getenv("WDC_PRINT_GOLDEN") != nullptr) {
-    std::printf("v1: {ProtocolKind::%s, 0x%016llxull},\n",
-                enum_name(expect.protocol),
-                static_cast<unsigned long long>(actual));
-  }
-  EXPECT_EQ(actual, expect.digest)
-      << to_string(expect.protocol)
-      << " jakes_v1 digest drifted from its pre-v2 pin — the legacy "
-         "substrate is no longer reproducing old experiments";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllProtocolsAndBaselines, GoldenDigestV1, ::testing::ValuesIn(kGoldenV1),
-    [](const ::testing::TestParamInfo<GoldenEntry>& tpi) {
-      return to_string(tpi.param.protocol);
-    });
-
 }  // namespace
 }  // namespace wdc

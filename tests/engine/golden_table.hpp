@@ -18,11 +18,7 @@
 namespace wdc {
 
 /// The fixed operating point. Do not change without re-pinning every digest.
-/// `v` selects the fading substrate generation: the default (jakes_v2) is
-/// what every other consumer (fault tier, audit) runs; the v1 overload exists
-/// only for the regression lock below.
-inline Scenario golden_scenario(ProtocolKind p,
-                                ChannelVersion v = ChannelVersion::kJakesV2) {
+inline Scenario golden_scenario(ProtocolKind p) {
   Scenario s;
   s.protocol = p;
   s.seed = 321;
@@ -32,7 +28,6 @@ inline Scenario golden_scenario(ProtocolKind p,
   s.warmup_s = 50.0;
   s.sleep.sleep_ratio = 0.1;
   s.traffic.offered_bps = 10e3;
-  s.fading.channel_version = v;
   return s;
 }
 
@@ -41,32 +36,15 @@ struct GoldenEntry {
   std::uint64_t digest;
 };
 
-/// Pinned 2026-08-05 from the pre-overhaul kernel (commit 021c777 lineage);
-/// re-verified 2026-08-08 under the jakes_v2 default. The re-pin was a
-/// measured no-op: v1 and v2 share the oscillator ensemble bit-for-bit (same
-/// RNG draws) and differ only by the ≤ ~5e-9 dB cosine-kernel gap, which at
-/// this operating point never crosses an MCS/decode decision boundary — all
-/// eleven digests came out bit-identical (flip probability per run is ~1e-5;
-/// if a future re-pin lands on a flip, the tables below legitimately fork).
+/// Pinned 2026-08-05 from the pre-overhaul kernel (commit 021c777 lineage,
+/// libm-cos fader); re-verified 2026-08-08 under the pinned-kernel fader. The
+/// re-pin was a measured no-op: the two faders share the oscillator ensemble
+/// bit-for-bit (same RNG draws) and differ only by the ≤ ~5e-9 dB
+/// cosine-kernel gap, which at this operating point never crosses an
+/// MCS/decode decision boundary — all eleven digests came out bit-identical.
+/// So these pins also reproduce every pre-kernel experiment; the libm fader
+/// itself survives only as the `-L channel` test oracle.
 constexpr GoldenEntry kGolden[] = {
-    {ProtocolKind::kTs, 0xaf68560caa10c589ull},
-    {ProtocolKind::kAt, 0x43462af3ebac66f1ull},
-    {ProtocolKind::kSig, 0x2e3730d2c5631397ull},
-    {ProtocolKind::kUir, 0xf40f168792e1732cull},
-    {ProtocolKind::kLair, 0xdb92b79a74d3718eull},
-    {ProtocolKind::kPig, 0xc00cd9b8f9a321cdull},
-    {ProtocolKind::kHyb, 0x65abff179ad9e6f5ull},
-    {ProtocolKind::kNc, 0x68cca8e4589a1142ull},
-    {ProtocolKind::kPer, 0x95e6f474a6ba0dabull},
-    {ProtocolKind::kBs, 0xc7c9fc0a4a1b43cdull},
-    {ProtocolKind::kCbl, 0xda9a0fc1a1738696ull},
-};
-
-/// Regression lock for `channel_version = jakes_v1`: the original libm-cos
-/// substrate must keep reproducing the pre-v2 pins exactly, or old
-/// experiments stop being reproducible. Equal to kGolden today (see above);
-/// kept as a separate table because the two CAN fork on any future re-pin.
-constexpr GoldenEntry kGoldenV1[] = {
     {ProtocolKind::kTs, 0xaf68560caa10c589ull},
     {ProtocolKind::kAt, 0x43462af3ebac66f1ull},
     {ProtocolKind::kSig, 0x2e3730d2c5631397ull},
@@ -84,9 +62,6 @@ static_assert(sizeof(kGolden) / sizeof(kGolden[0]) ==
                   sizeof(kAllProtocolsAndBaselines) /
                       sizeof(kAllProtocolsAndBaselines[0]),
               "golden table must cover every protocol and baseline");
-static_assert(sizeof(kGoldenV1) / sizeof(kGoldenV1[0]) ==
-                  sizeof(kGolden) / sizeof(kGolden[0]),
-              "v1 lock must cover every protocol and baseline");
 
 /// Enum spelling for the WDC_PRINT_GOLDEN paste-ready table.
 inline const char* enum_name(ProtocolKind p) {

@@ -1,13 +1,16 @@
 /// @file sweep_test.cpp
 /// The grid engine's core guarantees: results are bit-identical whatever the
 /// worker thread count, ordered by (variant, point, replication), equal to
-/// what run_replications produces cell by cell, and degenerate grids (no
-/// variants, no points, zero replications) are handled without surprises.
+/// what run_replications produces cell by cell, degenerate grids (no
+/// variants, no points, zero replications) are handled without surprises, and
+/// a failing replication throws the serial run's exception at any thread count.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "engine/digest.hpp"
@@ -164,6 +167,34 @@ TEST(SweepTest, EmptyGrids) {
       EXPECT_TRUE(c.seeds.empty());
     }
   }
+}
+
+TEST(SweepTest, FailingTaskThrowsTheSerialExceptionAtAnyThreadCount) {
+  // Point 1 zeroes the IR interval and point 2 the population, so the grid
+  // has failing tasks with two different messages. Tasks run in (variant,
+  // point, replication) order, so a serial run throws point 1's; a pool must
+  // throw that same one — not abort, and not whichever failure came first.
+  SweepSpec spec = test_spec();
+  spec.axis = {"x", {5.0, 0.0, -1.0}, [](Scenario& sc, double x) {
+                 if (x < 0.0)
+                   sc.num_clients = 0;
+                 else
+                   sc.proto.ir_interval_s = x;
+               }};
+  const auto message_at = [&](unsigned threads) {
+    try {
+      run_sweep(spec, test_opts(threads));
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  EXPECT_EQ(message_at(1), "Scenario: ir_interval > 0");
+  EXPECT_EQ(message_at(4), message_at(1));
+
+  Scenario bad = test_base();
+  bad.proto.ir_interval_s = 0.0;
+  EXPECT_THROW(run_replications(bad, 4, 4), std::invalid_argument);
 }
 
 TEST(SweepTest, SingleCellGrid) {

@@ -13,6 +13,10 @@ struct TableCase {
   McsTable (*make)();
 };
 
+// Print a case as its table name: gtest's default byte dump of the two
+// pointers would put load addresses into the discovered test names.
+void PrintTo(const TableCase& c, std::ostream* os) { *os << c.name; }
+
 McsTable make_edge() { return McsTable::edge(4); }
 McsTable make_edge1() { return McsTable::edge(1); }
 McsTable make_wifi() { return McsTable::wifi11b(); }

@@ -108,6 +108,23 @@ TEST(Config, UnusedKeysTracksReads) {
   EXPECT_EQ(unused[0], "never");
 }
 
+TEST(Config, RequireAllUsedNamesEveryUnreadKey) {
+  Config c;
+  c.set("used", "1");
+  c.set("typo_a", "2");
+  c.set("typo_b", "3");
+  (void)c.get_int("used", 0);
+  try {
+    c.require_all_used();
+    FAIL() << "unread keys must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "Config: unknown key(s) 'typo_a', 'typo_b'");
+  }
+  (void)c.get_int("typo_a", 0);
+  (void)c.get_int("typo_b", 0);
+  EXPECT_NO_THROW(c.require_all_used());
+}
+
 TEST(Config, LaterSetWins) {
   Config c;
   c.set("k", "1");

@@ -162,8 +162,7 @@ int run_audit(Config& cfg) {
                      std::end(kAllProtocolsAndBaselines));
 
   const Scenario base = Scenario::from_config(cfg);
-  for (const auto& key : cfg.unused_keys())
-    std::cerr << "warning: unknown config key '" << key << "'\n";
+  cfg.require_all_used();
   std::cout << "wdc_audit: " << protocols.size() << " protocols, seed "
             << base.seed << ", " << base.sim_time_s << "s scenario, " << reps
             << " replications, " << threads << " threads, " << slices

@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
     lc.replay_path = cfg.get_string("replay", "");
     lc.stall_timeout_s = cfg.get_double("stall_timeout_s", lc.stall_timeout_s);
     const bool allow_failures = cfg.get_bool("allow_failures", false);
+    cfg.require_all_used();
 
     net::LoadDriver driver(lc);
     std::string error;

@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
     sc.trace_path = cfg.get_string("trace_out", "");
     const double duration_s = cfg.get_double("duration_s", 0.0);
     sc.scenario = Scenario::from_config(cfg);
+    cfg.require_all_used();
     sc.scenario.validate();
 
     net::ServeApp app(std::move(sc));

@@ -14,7 +14,8 @@
 ///       Metrics field on the y-axis, CSV export via csv=path.
 ///
 /// Every subcommand accepts the full scenario key set (see README) plus
-/// reps= (default 1 for run, 3 otherwise), threads= and csv=.
+/// reps= (default 1 for run, 3 otherwise), threads= and csv=. An unknown key
+/// is an error (exit 1), never silently ignored.
 
 #include <functional>
 #include <iostream>
@@ -71,6 +72,7 @@ int cmd_run(Config& cfg) {
   const auto reps = static_cast<unsigned>(cfg.get_int("reps", 1));
   const auto threads = static_cast<unsigned>(cfg.get_int("threads", 0));
   const Scenario sc = Scenario::from_config(cfg);
+  cfg.require_all_used();
   if (reps <= 1) {
     const Metrics m = run_scenario(sc);
     std::cout << "protocol " << to_string(sc.protocol) << ", seed " << sc.seed
@@ -100,6 +102,7 @@ int cmd_compare(Config& cfg) {
       parse_protocols(cfg.get_string("protocols", "TS,AT,SIG,UIR,LAIR,PIG,HYB"));
   const std::string csv = cfg.get_string("csv", "");
   const Scenario base = Scenario::from_config(cfg);
+  cfg.require_all_used();
 
   Table t({"protocol", "latency (s)", "p90 (s)", "hit ratio", "loss",
            "uplink/q", "busy", "stale"});
@@ -162,6 +165,7 @@ int cmd_sweep(Config& cfg) {
       point.set(key, x);
       point.set("protocol", to_string(p));
       Scenario s = Scenario::from_config(point);
+      point.require_all_used();  // the copy that parsed the scenario
       const auto rs = run_replications(s, reps, threads);
       const auto ci = ci_of(rs, metric_it->second);
       t.cell_ci(ci.mean, ci.half_width, 4);

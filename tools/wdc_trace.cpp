@@ -163,8 +163,12 @@ int main(int argc, char** argv) {
   const std::string jsonl = cfg.get_string("jsonl", "");
   const bool counted_only = cfg.get_bool("counted_only", true);
   const std::string distill = cfg.get_string("distill", "");
-  for (const auto& key : cfg.unused_keys())
-    std::cerr << "wdc_trace: warning: unused option '" << key << "'\n";
+  try {
+    cfg.require_all_used();
+  } catch (const std::exception& e) {
+    std::cerr << "wdc_trace: " << e.what() << "\n";
+    return 2;
+  }
   if (!distill.empty() && files.size() != 1) {
     std::cerr << "wdc_trace: distill= takes exactly one input trace\n";
     return 2;
