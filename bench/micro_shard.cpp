@@ -1,11 +1,11 @@
 /// @file micro_shard.cpp
 /// Within-run sharding microbenchmark: one large-population scenario
-/// (10^5 clients, 8 cells) executed by the sharded core at shards=1 vs all
+/// (10^5 clients, 8 cells) executed by the sharded core on one thread vs all
 /// hardware threads. Unlike micro_sweep (parallelism ACROSS grid tasks) this
 /// times parallelism INSIDE a single simulation — the speedup the bounded-lag
 /// barrier buys, and the number the BENCH_sweep.json `micro_shard` datapoints
 /// track across PRs. The digest counter doubles as an invariance probe: it
-/// must be identical at every executor count.
+/// must be identical at every thread count.
 
 #include <benchmark/benchmark.h>
 
@@ -33,12 +33,10 @@ Scenario shard_point() {
   return s;
 }
 
-/// range(0) = executors over the cells (0 = one per cell, threads auto).
+/// range(0) = shard_threads (0 = the hardware, capped at the cell count).
 void BM_ShardedRun(benchmark::State& state) {
   Scenario s = shard_point();
-  s.shards = state.range(0) == 0 ? s.shard_cells
-                                 : static_cast<std::uint32_t>(state.range(0));
-  s.shard_threads = state.range(0) == 1 ? 1 : 0;  // 0 = hardware threads
+  s.shard_threads = static_cast<std::uint32_t>(state.range(0));
   std::uint64_t digest = 0;
   std::uint64_t queries = 0;
   for (auto _ : state) {
@@ -55,8 +53,8 @@ void BM_ShardedRun(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_ShardedRun)
-    ->Arg(1)   // serial reference (one executor, one thread)
-    ->Arg(0)   // one executor per cell, all hardware threads
+    ->Arg(1)   // serial reference (one thread)
+    ->Arg(0)   // all hardware threads
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

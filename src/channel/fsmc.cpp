@@ -102,8 +102,4 @@ double Fsmc::threshold_db(unsigned k) const {
   return 10.0 * std::log10(lin);
 }
 
-double Fsmc::stationary_prob(unsigned) const {
-  return 1.0 / static_cast<double>(rep_snr_db_.size());
-}
-
 }  // namespace wdc

@@ -45,7 +45,6 @@ class Fsmc {
 
   unsigned num_states() const { return static_cast<unsigned>(rep_snr_db_.size()); }
   double threshold_db(unsigned k) const;        ///< Γ_k in dB (k in [0, K]); Γ_0 = −inf
-  double stationary_prob(unsigned k) const;     ///< π_k (≈ 1/K by construction)
   double p_up(unsigned k) const { return p_up_[k]; }
   double p_down(unsigned k) const { return p_down_[k]; }
   double slot_s() const { return slot_s_; }

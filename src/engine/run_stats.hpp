@@ -73,7 +73,7 @@ struct RunStats {
   /// Fold another cell's snapshot into this one. Order matters for the
   /// float-valued Summary reductions, so the collector always folds in cell
   /// index order — that is what makes the merged digest a pure function of
-  /// (scenario, seed, shard map), independent of executor/thread schedule.
+  /// (scenario, seed, shard map), independent of the thread placement.
   void merge(const RunStats& other);
 };
 

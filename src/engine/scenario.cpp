@@ -161,7 +161,6 @@ Scenario Scenario::from_config(const Config& c, const Scenario& base) {
 
   s.shard_cells =
       static_cast<std::uint32_t>(c.get_int("shard_cells", s.shard_cells));
-  s.shards = static_cast<std::uint32_t>(c.get_int("shards", s.shards));
   s.shard_threads =
       static_cast<std::uint32_t>(c.get_int("shard_threads", s.shard_threads));
   s.shard_lag = static_cast<std::uint32_t>(c.get_int("shard_lag", s.shard_lag));
@@ -192,7 +191,6 @@ void Scenario::validate() const {
   if (shard_cells > num_clients)
     throw std::invalid_argument(
         "Scenario: shard_cells <= clients (every cell needs a client)");
-  if (shards == 0) throw std::invalid_argument("Scenario: shards >= 1");
   if (shard_lag == 0)
     throw std::invalid_argument("Scenario: shard_lag >= 1 (0 would serialize "
                                 "cells inside one epoch)");

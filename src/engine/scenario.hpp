@@ -82,14 +82,10 @@ struct Scenario {
   /// injector) over its client block, synchronized at IR-epoch barriers.
   /// `shard_cells=1` is exactly the legacy single-cell simulation.
   std::uint32_t shard_cells = 1;
-  /// Executor shards the cells are distributed over (cell c → executor
-  /// c % shards). Execution-only: results are a pure function of
-  /// (scenario, seed, shard map) and independent of this knob.
-  std::uint32_t shards = 1;
-  /// OS threads running the executors (executor x → thread x % shard_threads;
-  /// 0 = one thread per executor, capped at the hardware). Execution-only,
-  /// like `shards`.
-  std::uint32_t shard_threads = 0;
+  /// OS threads running the cells (cell c → thread c % shard_threads, capped
+  /// at shard_cells; 0 = the hardware). Execution-only: results are a pure
+  /// function of (scenario, seed, shard map) and independent of this knob.
+  std::uint32_t shard_threads = 1;
   /// Bounded-lag horizon in IR epochs: a cell may run at most this many
   /// epochs ahead of the slowest cell. Execution-only (any lag >= 1 admits
   /// the same per-cell event order).

@@ -15,9 +15,14 @@ namespace wdc {
 
 namespace {
 
-std::uint32_t auto_threads(std::uint32_t execs) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::min<std::uint32_t>(execs, hw ? hw : 1u);
+/// Threads actually used: `shard_threads` (0 = the hardware), never more than
+/// one per cell.
+std::uint32_t placement_threads(std::uint32_t requested, std::uint32_t cells) {
+  if (requested == 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    requested = hw ? hw : 1u;
+  }
+  return std::min(requested, cells);
 }
 
 }  // namespace
@@ -25,10 +30,7 @@ std::uint32_t auto_threads(std::uint32_t execs) {
 ShardedSimulation::ShardedSimulation(Scenario scenario)
     : scenario_(std::move(scenario)),
       cells_n_(scenario_.shard_cells),
-      execs_(std::min(scenario_.shards, scenario_.shard_cells)),
-      threads_(scenario_.shard_threads
-                   ? std::min(scenario_.shard_threads, execs_)
-                   : auto_threads(execs_)),
+      threads_(placement_threads(scenario_.shard_threads, cells_n_)),
       ledger_(cells_n_, scenario_.shard_lag) {
   scenario_.validate();
 }
@@ -51,7 +53,7 @@ void ShardedSimulation::run_cells(std::uint32_t t, double epoch_s,
   // trajectory precompute is per-client and stays cell-local), so each
   // thread builds its own cells — in parallel with the other threads.
   for (std::uint32_t c = 0; c < cells_n_; ++c) {
-    if ((c % execs_) % threads_ != t) continue;
+    if (c % threads_ != t) continue;
     Scenario cs = scenario_;
     // Each cell writes its own trace file: the .wdct format carries one
     // cell's event stream, and concurrent writers must never share a sink.
@@ -62,7 +64,7 @@ void ShardedSimulation::run_cells(std::uint32_t t, double epoch_s,
   }
   for (std::uint64_t e = 0; e < epochs; ++e) {
     for (std::uint32_t c = 0; c < cells_n_; ++c) {
-      if ((c % execs_) % threads_ != t) continue;
+      if (c % threads_ != t) continue;
       ledger_.begin_epoch(c, e);
       const double until =
           std::min(epoch_s * static_cast<double>(e + 1), scenario_.sim_time_s);
@@ -71,7 +73,7 @@ void ShardedSimulation::run_cells(std::uint32_t t, double epoch_s,
     }
   }
   for (std::uint32_t c = 0; c < cells_n_; ++c) {
-    if ((c % execs_) % threads_ != t) continue;
+    if (c % threads_ != t) continue;
     cells_[c]->run_until(scenario_.sim_time_s);
     cells_[c]->simulator().trace().finalize();
   }
@@ -101,7 +103,7 @@ Metrics ShardedSimulation::run() {
           // Release every cell this thread owns so the surviving threads
           // don't wait forever at the barrier; the error rethrows after join.
           for (std::uint32_t c = 0; c < cells_n_; ++c)
-            if ((c % execs_) % threads_ == t) ledger_.abandon(c);
+            if (c % threads_ == t) ledger_.abandon(c);
         }
       });
     for (auto& th : pool) th.join();
@@ -111,7 +113,7 @@ Metrics ShardedSimulation::run() {
 
   // The fold runs on the collecting thread in fixed cell order 0..C-1 — the
   // float-valued Summary reductions are order-sensitive, and this ordering is
-  // what keeps the digest independent of the executor/thread schedule.
+  // what keeps the digest independent of the thread placement.
   RunStats total;
   for (const auto& cell : cells_) total.merge(cell->run_stats());
   return finalize_run(scenario_, total);

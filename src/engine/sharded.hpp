@@ -15,11 +15,10 @@
 /// default lag of 1 a cell may run one epoch ahead of the slowest.
 ///
 /// Determinism contract: the result is a pure function of
-/// (scenario, seed, shard map = shard_cells). The execution knobs —
-/// `shards` (executors; cell c → executor c % shards) and `shard_threads`
-/// (executor x → thread x % shard_threads) — only schedule WHERE cells run;
-/// per-cell event order is untouched and the metrics fold is in fixed cell
-/// order, so digests are bit-identical across any K/thread combination (the
+/// (scenario, seed, shard map = shard_cells). The execution knob
+/// `shard_threads` (cell c → thread c % shard_threads) only schedules WHERE
+/// cells run; per-cell event order is untouched and the metrics fold is in
+/// fixed cell order, so digests are bit-identical across thread counts (the
 /// `-L scale` tier proves it). At shard_cells=1 the cell IS the legacy
 /// simulation: same seed chain, same event order, same golden digests.
 
@@ -46,8 +45,6 @@ class ShardedSimulation {
   Metrics run();
 
   std::uint32_t num_cells() const { return cells_n_; }
-  std::uint32_t num_executors() const { return execs_; }
-  std::uint32_t num_threads() const { return threads_; }
 
   /// Global client block of cell `c` under `cells`-way sharding: contiguous,
   /// balanced to within one client, covering [0, clients) exactly.
@@ -59,13 +56,12 @@ class ShardedSimulation {
   const EpochLedger& ledger() const { return ledger_; }
 
  private:
-  /// Epoch loop for thread `t`: builds and steps every cell whose executor
-  /// lives on this thread (cell c → executor c % execs_ → thread x % threads_).
+  /// Epoch loop for thread `t`: builds and steps every cell placed on this
+  /// thread (cell c → thread c % threads_).
   void run_cells(std::uint32_t t, double epoch_s, std::uint64_t epochs);
 
   Scenario scenario_;
   std::uint32_t cells_n_;
-  std::uint32_t execs_;
   std::uint32_t threads_;
   EpochLedger ledger_;
   std::vector<std::unique_ptr<Simulation>> cells_;

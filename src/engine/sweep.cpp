@@ -53,20 +53,6 @@ SweepAxis fault_ir_loss_axis(std::vector<double> values) {
           }};
 }
 
-SweepAxis fault_uplink_drop_axis(std::vector<double> values) {
-  return {"uplink drop p", std::move(values), [](Scenario& s, double v) {
-            s.faults.enabled = true;
-            s.faults.uplink_drop = v;
-          }};
-}
-
-SweepAxis fault_churn_rate_axis(std::vector<double> values) {
-  return {"churn rate (1/s)", std::move(values), [](Scenario& s, double v) {
-            s.faults.enabled = true;
-            s.faults.churn_rate = v;
-          }};
-}
-
 const SweepCell& SweepGrid::cell(std::size_t variant, std::size_t point) const {
   if (variant >= num_variants() || point >= num_points())
     throw std::out_of_range("SweepGrid::cell: index out of range");

@@ -47,11 +47,9 @@ struct SweepAxis {
   std::function<void(Scenario&, double)> apply;  ///< may be empty
 };
 
-/// Fault-grid axes (src/faults): each applied value also flips faults on, so a
+/// Fault-grid axis (src/faults): each applied value also flips faults on, so a
 /// zero point still exercises the enabled-but-lossless path.
 SweepAxis fault_ir_loss_axis(std::vector<double> values);
-SweepAxis fault_uplink_drop_axis(std::vector<double> values);
-SweepAxis fault_churn_rate_axis(std::vector<double> values);
 
 /// One reported metric: a printed/CSV table and a JSON series.
 struct SweepSeries {

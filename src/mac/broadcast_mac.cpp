@@ -38,6 +38,7 @@ void BroadcastMac::enqueue(Message msg) {
              "unicast ", to_string(msg.kind), " to unregistered client ", msg.dest);
   const auto k = static_cast<std::size_t>(msg.kind);
   kind_stats_[k].enqueued++;
+  msg.seq = ++last_seq_;
   queues_[k].push_back(Queued{std::move(msg), sim_.now(), 0});
   try_start();
   maybe_audit();
@@ -63,11 +64,6 @@ double BroadcastMac::broadcast_reference_snr(SimTime t) const {
   const std::size_t hi = std::min(lo + 1, snrs.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return snrs[lo] * (1.0 - frac) + snrs[hi] * frac;
-}
-
-std::size_t BroadcastMac::broadcast_mcs_hint(SimTime t, Bits bits) {
-  const SimTime when = std::max(0.0, t - cfg_.amc.csi_delay_s);
-  return bcast_amc_.select_from_snr(broadcast_reference_snr(when), bits);
 }
 
 std::size_t BroadcastMac::pick_mcs(const Message& msg) {

@@ -98,7 +98,7 @@ class BroadcastMac {
   /// stream is identical whether or not faults then suppress the outcome.
   void set_fault_injector(FaultInjector* f) { faults_ = f; }
 
-  /// Queue a message for transmission.
+  /// Queue a message for transmission, stamping its `seq`.
   void enqueue(Message msg);
 
   /// Number of queued messages of the given kind (excludes the in-flight one).
@@ -109,10 +109,6 @@ class BroadcastMac {
   /// (the percentile over listening clients). Exposed so LAIR can peek at the
   /// channel before committing a report to the queue.
   double broadcast_reference_snr(SimTime t) const;
-
-  /// MCS the AMC would choose for a broadcast message of `bits` at time `t`
-  /// (default: a typical small report).
-  std::size_t broadcast_mcs_hint(SimTime t, Bits bits = 2048);
 
   const MacKindStats& stats(MsgKind kind) const;
   /// Fraction of time the transmitter was busy, measured up to `t`.
@@ -174,6 +170,7 @@ class BroadcastMac {
   std::size_t last_bcast_mcs_ = kNoMcsYet;
   TxObserver tx_observer_;
   FaultInjector* faults_ = nullptr;
+  std::uint64_t last_seq_ = 0;
   mutable std::uint64_t mutations_ = 0;
 };
 

@@ -2,12 +2,12 @@
 #define WDC_MAC_MESSAGE_HPP
 
 /// @file message.hpp
-/// Downlink message model. The MAC treats payloads opaquely; protocols subclass
-/// Payload to ship report contents (id lists, signatures, piggyback digests).
+/// Downlink message model. The MAC treats payloads opaquely: a frame's
+/// content is a `Payload` value (proto/reports.hpp) that only protocols read.
 
 #include <cstdint>
-#include <memory>
 
+#include "proto/reports.hpp"
 #include "util/types.hpp"
 
 namespace wdc {
@@ -24,11 +24,6 @@ inline constexpr std::size_t kNumMsgKinds = 5;
 
 const char* to_string(MsgKind k);
 
-/// Base class for protocol-defined message contents.
-struct Payload {
-  virtual ~Payload() = default;
-};
-
 struct Message {
   MsgKind kind = MsgKind::kDownlinkData;
   Bits bits = 0;
@@ -40,7 +35,10 @@ struct Message {
   /// Piggyback digest space consumed on this frame (accounting; contents live in
   /// `payload`). Zero when the frame carries no digest.
   Bits piggyback_bits = 0;
-  std::shared_ptr<const Payload> payload;
+  /// Per-transmission number the MAC stamps at enqueue (1, 2, …; 0 = never
+  /// enqueued). ARQ retries keep it, so it names this frame's content.
+  std::uint64_t seq = 0;
+  Payload payload;
 
   bool is_broadcast() const { return dest == kInvalidClient; }
 };

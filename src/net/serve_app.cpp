@@ -27,21 +27,6 @@ constexpr double kSweepPeriodS = 0.25;
 /// while the accept sweep is busy advancing the simulation.
 constexpr int kListenBacklog = 4096;
 
-/// Encode whichever concrete report payload `p` is; empty when unrecognised.
-std::vector<std::uint8_t> encode_report_payload(const Payload* p) {
-  if (const auto* full = dynamic_cast<const FullReport*>(p))
-    return encode_report(*full);
-  if (const auto* mini = dynamic_cast<const MiniReport*>(p))
-    return encode_report(*mini);
-  if (const auto* sig = dynamic_cast<const SigReport*>(p))
-    return encode_report(*sig);
-  if (const auto* bs = dynamic_cast<const BsReport*>(p))
-    return encode_report(*bs);
-  if (const auto* dig = dynamic_cast<const PiggyDigest*>(p))
-    return encode_report(*dig);
-  return {};
-}
-
 }  // namespace
 
 ServeApp::ServeApp(ServeConfig cfg)
@@ -403,26 +388,21 @@ bool ServeApp::on_message(Conn& c, const ServeMessage& m, double t_read) {
 }
 
 const std::vector<std::uint8_t>& ServeApp::encoded_frame(const Message& msg) {
-  const void* payload = msg.payload.get();
-  if (enc_key_.filled && enc_key_.payload == payload &&
-      enc_key_.kind == msg.kind && enc_key_.dest == msg.dest &&
-      enc_key_.item == msg.item && enc_key_.version == msg.version &&
-      enc_key_.bits == msg.bits) {
-    return encoded_;
-  }
+  WDC_ASSERT(msg.seq != 0, "encoding a frame the MAC never stamped");
+  if (msg.seq == encoded_seq_) return encoded_;
   ServeMessage m;
   switch (msg.kind) {
     case MsgKind::kInvalidationReport:
     case MsgKind::kMiniReport:
       m.kind = ServeWireKind::kReport;
-      m.report_frame = encode_report_payload(msg.payload.get());
+      m.report_frame = encode_report(msg.payload);
       break;
     case MsgKind::kItemData: {
       m.kind = ServeWireKind::kItem;
       m.item = msg.item;
       m.version = msg.version;
       m.payload_bits = msg.bits;
-      if (const auto* ip = dynamic_cast<const ItemPayload*>(msg.payload.get())) {
+      if (const auto* ip = std::get_if<ItemPayload>(&msg.payload)) {
         m.content_time = ip->content_time;
         m.lease_s = ip->lease_s;
         if (ip->digest) m.digest_frame = encode_report(*ip->digest);
@@ -432,20 +412,19 @@ const std::vector<std::uint8_t>& ServeApp::encoded_frame(const Message& msg) {
     case MsgKind::kDownlinkData: {
       m.kind = ServeWireKind::kData;
       m.payload_bits = msg.bits;
-      if (const auto* dp = dynamic_cast<const DataPayload*>(msg.payload.get())) {
-        if (dp->digest) m.digest_frame = encode_report(*dp->digest);
-      }
+      const auto* dp = std::get_if<DataPayload>(&msg.payload);
+      if (dp != nullptr && dp->digest)
+        m.digest_frame = encode_report(*dp->digest);
       break;
     }
     case MsgKind::kControl: {
-      if (const auto* ack = dynamic_cast<const PollAck*>(msg.payload.get())) {
+      if (const auto* ack = std::get_if<PollAck>(&msg.payload)) {
         m.kind = ServeWireKind::kPollAck;
         m.item = ack->item;
         m.version = ack->version;
         m.content_time = ack->content_time;
         m.valid = ack->valid;
-      } else if (const auto* inv =
-                     dynamic_cast<const InvalidateNotice*>(msg.payload.get())) {
+      } else if (const auto* inv = std::get_if<InvalidateNotice>(&msg.payload)) {
         m.kind = ServeWireKind::kInvalidate;
         m.item = inv->item;
         m.update_time = inv->update_time;
@@ -457,8 +436,7 @@ const std::vector<std::uint8_t>& ServeApp::encoded_frame(const Message& msg) {
     }
   }
   encoded_ = encode_serve(m);
-  enc_key_ = EncKey{payload,  msg.kind, msg.dest,
-                    msg.item, msg.version, msg.bits, true};
+  encoded_seq_ = msg.seq;
   return encoded_;
 }
 
@@ -519,7 +497,7 @@ void ServeApp::deliver(Conn& c, const Reception& rx) {
     }
     case MsgKind::kControl: {
       ++stats_.control_tx;
-      if (dynamic_cast<const PollAck*>(msg.payload.get()) != nullptr) {
+      if (std::holds_alternative<PollAck>(msg.payload)) {
         auto it = c.pending_polls.find(msg.item);
         if (it != c.pending_polls.end() && !it->second.empty()) {
           std::vector<PendingAnswer> answered;

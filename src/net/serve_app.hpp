@@ -201,20 +201,10 @@ class ServeApp {
   std::vector<Conn*> slot_conn_;
   std::vector<ClientId> free_slots_;
 
-  /// Broadcast frames encode once per MAC delivery sweep, not once per port.
-  /// Keyed on the message identity tuple (the MAC reuses the in-flight slot's
-  /// storage, so the Message address alone cannot distinguish transmissions;
-  /// an identical tuple implies identical bytes, so reuse is always sound).
-  struct EncKey {
-    const void* payload = nullptr;
-    MsgKind kind = MsgKind::kDownlinkData;
-    ClientId dest = 0;
-    ItemId item = 0;
-    Version version = 0;
-    Bits bits = 0;
-    bool filled = false;
-  };
-  EncKey enc_key_;
+  /// Broadcast frames encode once per MAC delivery sweep, not once per port:
+  /// `encoded_` holds the bytes of the transmission whose Message::seq is
+  /// `encoded_seq_` (0 = none yet).
+  std::uint64_t encoded_seq_ = 0;
   std::vector<std::uint8_t> encoded_;
 
   TraceFileWriter trace_writer_;

@@ -24,18 +24,12 @@ void ServerPer::on_poll(ClientId from, ItemId item, Version version) {
   const bool valid = db_.version(item) == version;
   if (valid) ++poll_hits_;
 
-  auto ack = std::make_shared<PollAck>();
-  ack->item = item;
-  ack->version = db_.version(item);
-  ack->content_time = sim_.now();
-  ack->valid = valid;
-
   Message msg;
   msg.kind = MsgKind::kControl;
   msg.dest = from;
   msg.item = item;
   msg.bits = cfg_.poll_ack_bits;
-  msg.payload = std::move(ack);
+  msg.payload = PollAck{item, db_.version(item), sim_.now(), valid};
   mac_.enqueue(std::move(msg));
 
   // Poll miss ⇒ the client needs the fresh copy: push the broadcast unprompted.
@@ -92,8 +86,8 @@ void ClientPer::on_sleep_transition(bool awake) {
 }
 
 void ClientPer::handle_control(const Message& msg) {
-  const auto ack = std::dynamic_pointer_cast<const PollAck>(msg.payload);
-  if (!ack) return;
+  const auto* ack = std::get_if<PollAck>(&msg.payload);
+  if (ack == nullptr) return;
   const auto waiting = polls_in_flight_.find(ack->item);
   if (waiting == polls_in_flight_.end()) return;
   const std::vector<SimTime> qtimes = std::move(waiting->second);

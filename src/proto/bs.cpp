@@ -9,21 +9,20 @@ void ServerBs::start() {
   timer_ = std::make_unique<PeriodicTimer>(
       sim_, /*first=*/L, /*period=*/L, [this](std::uint64_t) {
         if (crash_suppress()) return;
-        auto rep = std::make_shared<BsReport>();
-        rep->stamp = sim_.now();
+        BsReport rep;
+        rep.stamp = sim_.now();
         // Boundaries stamp − L·2^(levels−1) … stamp − L, ascending (oldest first).
         const unsigned levels = cfg_.bs_levels > 0 ? cfg_.bs_levels : 1;
         for (unsigned i = levels; i >= 1; --i)
-          rep->boundaries.push_back(sim_.now() -
-                                    cfg_.ir_interval_s * double(1u << (i - 1)));
-        rep->updates.clear();
+          rep.boundaries.push_back(sim_.now() -
+                                   cfg_.ir_interval_s * double(1u << (i - 1)));
         for (const ItemId id :
-             db_.updated_between(rep->boundaries.front(), rep->stamp))
-          rep->updates.emplace_back(id, db_.last_update(id));
+             db_.updated_between(rep.boundaries.front(), rep.stamp))
+          rep.updates.emplace_back(id, db_.last_update(id));
 
         Message msg;
         msg.kind = MsgKind::kInvalidationReport;
-        msg.bits = rep->wire_bits(cfg_, db_.num_items());
+        msg.bits = rep.wire_bits(cfg_, db_.num_items());
         msg.payload = std::move(rep);
         ++reports_sent_;
         mac_.enqueue(std::move(msg));

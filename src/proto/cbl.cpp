@@ -64,15 +64,12 @@ void ServerCbl::on_update(ItemId item, SimTime when) {
     // restart) but cannot notify the holders — CBL's best-effort consistency
     // degrades exactly here, and every unsent notice is counted.
     if (crash_suppress()) continue;
-    auto notice = std::make_shared<InvalidateNotice>();
-    notice->item = item;
-    notice->update_time = when;
     Message msg;
     msg.kind = MsgKind::kControl;
     msg.dest = client;
     msg.item = item;
     msg.bits = cfg_.cbl_notice_bits;
-    msg.payload = std::move(notice);
+    msg.payload = InvalidateNotice{item, when};
     ++notices_sent_;
     mac_.enqueue(std::move(msg));
   }
@@ -130,8 +127,8 @@ void ClientCbl::on_sleep_transition(bool awake) {
 }
 
 void ClientCbl::handle_control(const Message& msg) {
-  const auto notice = std::dynamic_pointer_cast<const InvalidateNotice>(msg.payload);
-  if (!notice) return;
+  const auto* notice = std::get_if<InvalidateNotice>(&msg.payload);
+  if (notice == nullptr) return;
   invalidate(notice->item);
   leases_.erase(notice->item);
 }

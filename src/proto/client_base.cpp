@@ -180,7 +180,7 @@ void ClientProtocol::on_reception(const Reception& rx) {
   switch (rx.msg.kind) {
     case MsgKind::kInvalidationReport:
     case MsgKind::kMiniReport:
-      dispatch_report(rx.msg);
+      dispatch_report(rx.msg.kind, rx.msg.payload);
       break;
     case MsgKind::kControl:
       if (rx.msg.dest == id_) handle_control(rx.msg);
@@ -194,44 +194,30 @@ void ClientProtocol::on_reception(const Reception& rx) {
   }
 }
 
-void ClientProtocol::dispatch_report(const Message& msg) {
-  if (msg.kind == MsgKind::kInvalidationReport) {
-    if (auto full = std::dynamic_pointer_cast<const FullReport>(msg.payload)) {
+void ClientProtocol::dispatch_report(MsgKind kind, const Payload& payload) {
+  if (kind == MsgKind::kInvalidationReport) {
+    if (const auto* full = std::get_if<FullReport>(&payload)) {
       sink_.record_report_heard();
       handle_full(*full);
-    } else if (auto sig =
-                   std::dynamic_pointer_cast<const SigReport>(msg.payload)) {
+    } else if (const auto* sig = std::get_if<SigReport>(&payload)) {
       sink_.record_report_heard();
       handle_sig(*sig);
-    } else if (auto bs =
-                   std::dynamic_pointer_cast<const BsReport>(msg.payload)) {
+    } else if (const auto* bs = std::get_if<BsReport>(&payload)) {
       sink_.record_report_heard();
       handle_bs(*bs);
     }
-  } else if (msg.kind == MsgKind::kMiniReport) {
-    if (auto mini = std::dynamic_pointer_cast<const MiniReport>(msg.payload)) {
-      sink_.record_report_heard();
-      handle_mini(*mini);
-    }
+  } else if (const auto* mini = std::get_if<MiniReport>(&payload)) {
+    sink_.record_report_heard();
+    handle_mini(*mini);
   }
 }
 
 void ClientProtocol::byzantine_reception(const Reception& rx) {
   // Re-encode the payload through the wire codec so the damage hits real
   // frame bytes, not in-process object state.
-  std::vector<std::uint8_t> bytes;
-  if (auto full = std::dynamic_pointer_cast<const FullReport>(rx.msg.payload))
-    bytes = encode_report(*full);
-  else if (auto mini =
-               std::dynamic_pointer_cast<const MiniReport>(rx.msg.payload))
-    bytes = encode_report(*mini);
-  else if (auto sig =
-               std::dynamic_pointer_cast<const SigReport>(rx.msg.payload))
-    bytes = encode_report(*sig);
-  else if (auto bs = std::dynamic_pointer_cast<const BsReport>(rx.msg.payload))
-    bytes = encode_report(*bs);
+  std::vector<std::uint8_t> bytes = encode_report(rx.msg.payload);
   bool accepted = false;
-  DecodedReport repaired;
+  Payload repaired;
   if (!bytes.empty()) {
     // Flip three bits at positions hashed purely from (time, client, kind):
     // no RNG is consumed, so a replayed schedule damages the same frame the
@@ -269,14 +255,12 @@ void ClientProtocol::byzantine_reception(const Reception& rx) {
   }
   // The damaged frame still decoded (the corrupt_accepted canary counts it):
   // deliver whatever survived validation, as a real system would.
-  Message repaired_msg = rx.msg;
-  repaired_msg.payload = repaired.payload;
-  dispatch_report(repaired_msg);
+  dispatch_report(rx.msg.kind, repaired);
 }
 
 void ClientProtocol::handle_item(const Message& msg, double airtime_s) {
-  const auto payload = std::dynamic_pointer_cast<const ItemPayload>(msg.payload);
-  if (!payload || msg.item == kInvalidItem) return;
+  const auto* payload = std::get_if<ItemPayload>(&msg.payload);
+  if (payload == nullptr || msg.item == kInvalidItem) return;
 
   const bool awaiting = awaiting_item(msg.item);
   const bool resident = cache_.peek(msg.item) != nullptr;
@@ -301,8 +285,8 @@ void ClientProtocol::handle_item(const Message& msg, double airtime_s) {
 }
 
 void ClientProtocol::handle_data(const Message& msg) {
-  const auto payload = std::dynamic_pointer_cast<const DataPayload>(msg.payload);
-  if (payload && payload->digest) handle_digest(*payload->digest);
+  const auto* payload = std::get_if<DataPayload>(&msg.payload);
+  if (payload != nullptr && payload->digest) handle_digest(*payload->digest);
 }
 
 // -------------------------------------------------------- report application --

@@ -174,8 +174,9 @@ class ClientProtocol {
 
  private:
   void on_reception(const Reception& rx);
-  /// Route a decoded report payload to the handle_* overrides.
-  void dispatch_report(const Message& msg);
+  /// Route a decoded report payload of a `kind` frame to the handle_*
+  /// overrides.
+  void dispatch_report(MsgKind kind, const Payload& payload);
   /// Byzantine mode: re-encode the report through the wire codec, damage it
   /// deterministically, and let decode_report judge the result end-to-end —
   /// rejection degrades to an erasure, acceptance delivers what decoded.

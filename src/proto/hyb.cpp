@@ -52,7 +52,7 @@ unsigned ServerHyb::adapt_m() {
 
 void ServerHyb::emit_full(SimTime /*nominal*/) {
   auto full = build_full_report(cfg_.window_mult * cfg_.ir_interval_s);
-  anchor_ = full->stamp;
+  anchor_ = full.stamp;
   enqueue_full_report(std::move(full));
 
   m_ = adapt_m();

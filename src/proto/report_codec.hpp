@@ -4,9 +4,10 @@
 /// @file report_codec.hpp
 /// Binary (de)serialization of the broadcastable report payloads.
 ///
-/// In-simulator messages travel as shared_ptr<Payload>; this codec defines the
-/// byte-level wire image for anything that needs to leave the process (trace
-/// tooling, future record/replay, test fixtures). Layout, native-endian like
+/// In-simulator messages carry a `Payload` value; this codec defines the
+/// byte-level wire image of its five report alternatives for anything that
+/// needs to leave the process (the serve socket, the byzantine fault path,
+/// test fixtures). Layout, native-endian like
 /// the .wdct trace format (machine-local, not interchange):
 ///
 ///   'W' 'R'  version:u8  kind:u8  <kind-specific fields>  checksum:u32
@@ -26,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,24 +47,19 @@ enum class ReportWireKind : std::uint8_t {
 
 const char* to_string(ReportWireKind k);
 
-std::vector<std::uint8_t> encode_report(const FullReport& r);
-std::vector<std::uint8_t> encode_report(const MiniReport& r);
-std::vector<std::uint8_t> encode_report(const SigReport& r);
+/// Encode a report payload (full, mini, signature, digest or Bit-Sequences);
+/// empty for every other alternative, which has no report wire image.
+std::vector<std::uint8_t> encode_report(const Payload& p);
+/// The digest piggybacked on item and data frames, encoded on its own.
 std::vector<std::uint8_t> encode_report(const PiggyDigest& r);
-std::vector<std::uint8_t> encode_report(const BsReport& r);
 
-/// A successfully decoded payload; cast `payload` per `kind`.
-struct DecodedReport {
-  ReportWireKind kind = ReportWireKind::kFull;
-  std::shared_ptr<const Payload> payload;
-};
-
-/// Decode one encoded report. Returns false (and sets *error when non-null)
-/// on any structural defect: short buffer, bad magic/version/kind, list that
+/// Decode one encoded report into *out, which then holds one of the five
+/// report alternatives. Returns false (and sets *error when non-null) on any
+/// structural defect: short buffer, bad magic/version/kind, list that
 /// overruns the buffer, non-finite timestamp, checksum mismatch, or trailing
 /// bytes.
-bool decode_report(const std::uint8_t* data, std::size_t size,
-                   DecodedReport* out, std::string* error = nullptr);
+bool decode_report(const std::uint8_t* data, std::size_t size, Payload* out,
+                   std::string* error = nullptr);
 
 }  // namespace wdc
 

@@ -1,5 +1,7 @@
 #include "proto/reports.hpp"
 
+#include "proto/protocol.hpp"
+
 namespace wdc {
 
 Bits FullReport::wire_bits(const ProtoConfig& cfg) const {

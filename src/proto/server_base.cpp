@@ -24,16 +24,16 @@ void ServerProtocol::on_request(ClientId from, ItemId item) {
     return;  // a broadcast of this item is already queued; the requester snoops it
   }
   pending_broadcast_.insert(item);
-  auto payload = std::make_shared<ItemPayload>();
-  payload->version = db_.version(item);
-  payload->content_time = sim_.now();
+  ItemPayload payload;
+  payload.version = db_.version(item);
+  payload.content_time = sim_.now();
 
   Message msg;
   msg.kind = MsgKind::kItemData;
   msg.bits = cfg_.item_header_bits + db_.item_bits(item);
   msg.item = item;
-  msg.version = payload->version;
-  decorate_item(msg, *payload);
+  msg.version = payload.version;
+  decorate_item(msg, payload);
   msg.payload = std::move(payload);
   ++item_broadcasts_;
   mac_.enqueue(std::move(msg));
@@ -41,12 +41,12 @@ void ServerProtocol::on_request(ClientId from, ItemId item) {
 
 void ServerProtocol::on_downlink_frame(const TrafficFrame& frame) {
   if (crash_suppress()) return;
-  auto payload = std::make_shared<DataPayload>();
+  DataPayload payload;
   Message msg;
   msg.kind = MsgKind::kDownlinkData;
   msg.dest = frame.dest;
   msg.bits = cfg_.data_header_bits + frame.bits;
-  decorate_data(msg, *payload);
+  decorate_data(msg, payload);
   msg.payload = std::move(payload);
   mac_.enqueue(std::move(msg));
 }
@@ -55,56 +55,53 @@ void ServerProtocol::decorate_item(Message&, ItemPayload&) {}
 void ServerProtocol::decorate_data(Message&, DataPayload&) {}
 
 void ServerProtocol::attach_digest_to(Message& msg,
-                                      std::shared_ptr<const PiggyDigest>& slot) {
-  auto digest = build_digest();
-  const Bits extra = digest->wire_bits(cfg_);
+                                      std::optional<PiggyDigest>& slot) {
+  slot = build_digest();
+  const Bits extra = slot->wire_bits(cfg_);
   msg.bits += extra;
   msg.piggyback_bits += extra;
   digest_bits_ += extra;
   ++digest_frames_;
-  slot = std::move(digest);
 }
 
-std::shared_ptr<const FullReport> ServerProtocol::build_full_report(
-    double window_s) const {
+FullReport ServerProtocol::build_full_report(double window_s) const {
   WDC_ASSERT(window_s > 0.0, "full report with non-positive window ", window_s);
-  auto rep = std::make_shared<FullReport>();
-  rep->stamp = sim_.now();
-  rep->window_start = sim_.now() - window_s;
-  for (const ItemId id : db_.updated_between(rep->window_start, rep->stamp)) {
+  FullReport rep;
+  rep.stamp = sim_.now();
+  rep.window_start = sim_.now() - window_s;
+  for (const ItemId id : db_.updated_between(rep.window_start, rep.stamp)) {
     const SimTime at = db_.last_update(id);
-    WDC_CHECK(at <= rep->stamp, "report lists item ", id,
-              " updated in the future: ", at, " > stamp ", rep->stamp);
-    rep->updates.emplace_back(id, at);
+    WDC_CHECK(at <= rep.stamp, "report lists item ", id,
+              " updated in the future: ", at, " > stamp ", rep.stamp);
+    rep.updates.emplace_back(id, at);
   }
   return rep;
 }
 
-std::shared_ptr<const MiniReport> ServerProtocol::build_mini_report(
-    SimTime anchor) const {
+MiniReport ServerProtocol::build_mini_report(SimTime anchor) const {
   WDC_ASSERT(anchor <= sim_.now(), "mini report anchored in the future: anchor=",
              anchor, " now=", sim_.now());
-  auto rep = std::make_shared<MiniReport>();
-  rep->stamp = sim_.now();
-  rep->anchor = anchor;
-  rep->updated = db_.updated_between(anchor, rep->stamp);
+  MiniReport rep;
+  rep.stamp = sim_.now();
+  rep.anchor = anchor;
+  rep.updated = db_.updated_between(anchor, rep.stamp);
   return rep;
 }
 
-std::shared_ptr<const PiggyDigest> ServerProtocol::build_digest() const {
-  auto digest = std::make_shared<PiggyDigest>();
-  digest->stamp = sim_.now();
-  digest->horizon_start = sim_.now() - cfg_.pig_horizon_s;
-  digest->updated = db_.updated_between(digest->horizon_start, digest->stamp);
-  if (digest->updated.size() > cfg_.pig_max_ids) {
+PiggyDigest ServerProtocol::build_digest() const {
+  PiggyDigest digest;
+  digest.stamp = sim_.now();
+  digest.horizon_start = sim_.now() - cfg_.pig_horizon_s;
+  digest.updated = db_.updated_between(digest.horizon_start, digest.stamp);
+  if (digest.updated.size() > cfg_.pig_max_ids) {
     // Keep the most recent ids (tail of the chronological list): recency maximises
     // the chance the digest still covers entries validated at the last report.
-    digest->updated.erase(digest->updated.begin(),
-                          digest->updated.end() - cfg_.pig_max_ids);
-    digest->complete = false;
+    digest.updated.erase(digest.updated.begin(),
+                         digest.updated.end() - cfg_.pig_max_ids);
+    digest.complete = false;
   }
-  WDC_CHECK(!digest->complete || digest->updated.size() <= cfg_.pig_max_ids,
-            "complete digest with ", digest->updated.size(),
+  WDC_CHECK(!digest.complete || digest.updated.size() <= cfg_.pig_max_ids,
+            "complete digest with ", digest.updated.size(),
             " ids over the capacity ", cfg_.pig_max_ids);
   return digest;
 }
@@ -131,21 +128,21 @@ void ServerProtocol::on_server_state(bool down) {
   enqueue_full_report(build_full_report(window));
 }
 
-void ServerProtocol::enqueue_full_report(std::shared_ptr<const FullReport> report) {
+void ServerProtocol::enqueue_full_report(FullReport report) {
   if (crash_suppress()) return;
   Message msg;
   msg.kind = MsgKind::kInvalidationReport;
-  msg.bits = report->wire_bits(cfg_);
+  msg.bits = report.wire_bits(cfg_);
   msg.payload = std::move(report);
   ++reports_sent_;
   mac_.enqueue(std::move(msg));
 }
 
-void ServerProtocol::enqueue_mini_report(std::shared_ptr<const MiniReport> report) {
+void ServerProtocol::enqueue_mini_report(MiniReport report) {
   if (crash_suppress()) return;
   Message msg;
   msg.kind = MsgKind::kMiniReport;
-  msg.bits = report->wire_bits(cfg_);
+  msg.bits = report.wire_bits(cfg_);
   msg.payload = std::move(report);
   ++minis_sent_;
   mac_.enqueue(std::move(msg));

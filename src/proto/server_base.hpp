@@ -9,7 +9,7 @@
 ///  * report-building helpers over the database.
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <unordered_set>
 
 #include "mac/broadcast_mac.hpp"
@@ -65,14 +65,14 @@ class ServerProtocol {
 
  protected:
   /// Build a TS-style full report covering (now − w·L, now].
-  std::shared_ptr<const FullReport> build_full_report(double window_s) const;
+  FullReport build_full_report(double window_s) const;
   /// Build a mini report listing updates since `anchor`.
-  std::shared_ptr<const MiniReport> build_mini_report(SimTime anchor) const;
+  MiniReport build_mini_report(SimTime anchor) const;
   /// Build a piggyback digest covering (now − G, now], clipped to pig_max_ids.
-  std::shared_ptr<const PiggyDigest> build_digest() const;
+  PiggyDigest build_digest() const;
 
-  void enqueue_full_report(std::shared_ptr<const FullReport> report);
-  void enqueue_mini_report(std::shared_ptr<const MiniReport> report);
+  void enqueue_full_report(FullReport report);
+  void enqueue_mini_report(MiniReport report);
 
   /// True while the server is scripted down. Subclasses with their own MAC
   /// enqueue sites (SIG/BS timers, CBL notices, PER poll acks) must gate them
@@ -89,7 +89,7 @@ class ServerProtocol {
   virtual void decorate_data(Message& msg, DataPayload& payload);
 
   /// Shared digest attachment used by PIG and HYB.
-  void attach_digest_to(Message& msg, std::shared_ptr<const PiggyDigest>& slot);
+  void attach_digest_to(Message& msg, std::optional<PiggyDigest>& slot);
 
   /// Called by the MAC's tx observer; subclasses may extend (keep calling base).
   virtual void on_transmitted(const Message& msg, std::size_t mcs, double airtime_s);

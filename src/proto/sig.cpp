@@ -9,15 +9,15 @@ void ServerSig::start() {
   timer_ = std::make_unique<PeriodicTimer>(
       sim_, /*first=*/L, /*period=*/L, [this](std::uint64_t) {
         if (crash_suppress()) return;
-        auto rep = std::make_shared<SigReport>();
-        rep->stamp = sim_.now();
-        rep->window_start = sim_.now() - cfg_.sig_window_mult * cfg_.ir_interval_s;
-        rep->updated = db_.updated_between(rep->window_start, rep->stamp);
-        rep->fp_prob = cfg_.sig_fp_prob;
+        SigReport rep;
+        rep.stamp = sim_.now();
+        rep.window_start = sim_.now() - cfg_.sig_window_mult * cfg_.ir_interval_s;
+        rep.updated = db_.updated_between(rep.window_start, rep.stamp);
+        rep.fp_prob = cfg_.sig_fp_prob;
 
         Message msg;
         msg.kind = MsgKind::kInvalidationReport;
-        msg.bits = rep->wire_bits(cfg_, db_.num_items());
+        msg.bits = rep.wire_bits(cfg_, db_.num_items());
         msg.payload = std::move(rep);
         ++reports_sent_;
         mac_.enqueue(std::move(msg));

@@ -12,7 +12,7 @@ void ServerUir::start() {
         if ((tick + 1) % m == 0) {
           auto full =
               build_full_report(cfg_.window_mult * cfg_.ir_interval_s);
-          anchor_ = full->stamp;
+          anchor_ = full.stamp;
           enqueue_full_report(std::move(full));
         } else {
           if (anchor_ <= 0.0) return;  // no anchor yet: skip leading minis

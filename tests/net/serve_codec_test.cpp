@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <variant>
 
 #include "proto/report_codec.hpp"
 #include "proto/reports.hpp"
@@ -122,12 +123,12 @@ TEST(ServeCodec, NestedReportFrameStaysDecodable) {
   const auto bytes = encode_serve(sample(ServeWireKind::kReport));
   ServeMessage out;
   ASSERT_TRUE(decode_serve(bytes, &out));
-  DecodedReport inner;
+  Payload inner;
   std::string error;
   ASSERT_TRUE(decode_report(out.report_frame.data(), out.report_frame.size(),
                             &inner, &error))
       << error;
-  EXPECT_EQ(inner.kind, ReportWireKind::kFull);
+  EXPECT_TRUE(std::holds_alternative<FullReport>(inner));
 }
 
 TEST(ServeCodecCorruption, EveryTruncationFailsCleanly) {

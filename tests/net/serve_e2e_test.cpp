@@ -20,11 +20,13 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "net/load_driver.hpp"
 #include "net/serve_app.hpp"
 #include "proto/protocol.hpp"
+#include "proto/report_codec.hpp"
 #include "proto/serve_codec.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_span.hpp"
@@ -217,6 +219,50 @@ TEST(ServeE2E, ByteAtATimeWritesReassemble) {
   ASSERT_TRUE(read_until_kind(fd, ServeWireKind::kItem, &item));
   EXPECT_EQ(item.item, 3u);
   ::close(fd);
+}
+
+/// Regression for the broadcast encode memo: with traffic off a raw client
+/// hears nothing but reports, and each must be a new one. The memo must key
+/// on the transmission itself: a payload address is recycled by the
+/// allocator for the next same-size report, which is nearly every frame for
+/// the fixed-size SIG and BS reports.
+void expect_report_stamps_increase(ProtocolKind protocol, const char* name) {
+  ServeConfig sc = serve_config(protocol, name);
+  sc.time_scale = 200.0;
+  RunningApp server(sc);
+  ASSERT_TRUE(server.started);
+  const int fd = unix_dial(sc.unix_path);
+  ASSERT_GE(fd, 0);
+  write_framed(fd, encode_serve(hello(0xfeed)));
+  double last_stamp = -1.0;
+  for (int i = 0; i < 12; ++i) {
+    ServeMessage m;
+    ASSERT_TRUE(read_until_kind(fd, ServeWireKind::kReport, &m));
+    Payload report;
+    std::string error;
+    ASSERT_TRUE(decode_report(m.report_frame.data(), m.report_frame.size(),
+                              &report, &error))
+        << error;
+    const double stamp = std::visit(
+        [](const auto& r) {
+          if constexpr (requires { r.stamp; })
+            return r.stamp;
+          else
+            return -1.0;
+        },
+        report);
+    EXPECT_GT(stamp, last_stamp) << "report " << i << " repeats a stamp";
+    last_stamp = stamp;
+  }
+  ::close(fd);
+}
+
+TEST(ServeE2E, SigReportsAreNeverResent) {
+  expect_report_stamps_increase(ProtocolKind::kSig, "sig_fresh");
+}
+
+TEST(ServeE2E, BsReportsAreNeverResent) {
+  expect_report_stamps_increase(ProtocolKind::kBs, "bs_fresh");
 }
 
 TEST(ServeE2E, CorruptFrameClosesTheConnection) {

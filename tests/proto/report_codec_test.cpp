@@ -11,6 +11,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <type_traits>
+#include <variant>
 
 #include "util/rng.hpp"
 
@@ -59,22 +61,41 @@ BsReport sample_bs() {
   return r;
 }
 
+/// Decode `bytes`, expecting the alternative T (empty T on failure).
 template <typename T>
-const T& decode_as(const std::vector<std::uint8_t>& bytes, ReportWireKind kind,
-                   DecodedReport* out) {
+T decode_as(const std::vector<std::uint8_t>& bytes) {
+  Payload out;
   std::string error;
-  EXPECT_TRUE(decode_report(bytes.data(), bytes.size(), out, &error)) << error;
-  EXPECT_EQ(out->kind, kind);
-  const auto* p = dynamic_cast<const T*>(out->payload.get());
-  EXPECT_NE(p, nullptr);
-  return *p;
+  EXPECT_TRUE(decode_report(bytes.data(), bytes.size(), &out, &error)) << error;
+  const auto* p = std::get_if<T>(&out);
+  EXPECT_NE(p, nullptr) << "decoded alternative " << out.index();
+  return p != nullptr ? *p : T{};
+}
+
+/// Field-wise equality of the report alternatives (they carry no operator==).
+bool same(const FullReport& a, const FullReport& b) {
+  return a.stamp == b.stamp && a.window_start == b.window_start &&
+         a.updates == b.updates;
+}
+bool same(const MiniReport& a, const MiniReport& b) {
+  return a.stamp == b.stamp && a.anchor == b.anchor && a.updated == b.updated;
+}
+bool same(const SigReport& a, const SigReport& b) {
+  return a.stamp == b.stamp && a.window_start == b.window_start &&
+         a.updated == b.updated && a.fp_prob == b.fp_prob;
+}
+bool same(const PiggyDigest& a, const PiggyDigest& b) {
+  return a.stamp == b.stamp && a.horizon_start == b.horizon_start &&
+         a.updated == b.updated && a.complete == b.complete;
+}
+bool same(const BsReport& a, const BsReport& b) {
+  return a.stamp == b.stamp && a.boundaries == b.boundaries &&
+         a.updates == b.updates;
 }
 
 TEST(ReportCodec, FullRoundTrip) {
   const FullReport in = sample_full();
-  DecodedReport out;
-  const auto& back =
-      decode_as<FullReport>(encode_report(in), ReportWireKind::kFull, &out);
+  const auto back = decode_as<FullReport>(encode_report(in));
   EXPECT_EQ(back.stamp, in.stamp);
   EXPECT_EQ(back.window_start, in.window_start);
   EXPECT_EQ(back.updates, in.updates);
@@ -82,9 +103,7 @@ TEST(ReportCodec, FullRoundTrip) {
 
 TEST(ReportCodec, MiniRoundTrip) {
   const MiniReport in = sample_mini();
-  DecodedReport out;
-  const auto& back =
-      decode_as<MiniReport>(encode_report(in), ReportWireKind::kMini, &out);
+  const auto back = decode_as<MiniReport>(encode_report(in));
   EXPECT_EQ(back.stamp, in.stamp);
   EXPECT_EQ(back.anchor, in.anchor);
   EXPECT_EQ(back.updated, in.updated);
@@ -92,9 +111,7 @@ TEST(ReportCodec, MiniRoundTrip) {
 
 TEST(ReportCodec, SigRoundTrip) {
   const SigReport in = sample_sig();
-  DecodedReport out;
-  const auto& back =
-      decode_as<SigReport>(encode_report(in), ReportWireKind::kSig, &out);
+  const auto back = decode_as<SigReport>(encode_report(in));
   EXPECT_EQ(back.stamp, in.stamp);
   EXPECT_EQ(back.window_start, in.window_start);
   EXPECT_EQ(back.updated, in.updated);
@@ -103,9 +120,7 @@ TEST(ReportCodec, SigRoundTrip) {
 
 TEST(ReportCodec, DigestRoundTrip) {
   const PiggyDigest in = sample_digest();
-  DecodedReport out;
-  const auto& back = decode_as<PiggyDigest>(encode_report(in),
-                                            ReportWireKind::kDigest, &out);
+  const auto back = decode_as<PiggyDigest>(encode_report(in));
   EXPECT_EQ(back.stamp, in.stamp);
   EXPECT_EQ(back.horizon_start, in.horizon_start);
   EXPECT_EQ(back.updated, in.updated);
@@ -114,9 +129,7 @@ TEST(ReportCodec, DigestRoundTrip) {
 
 TEST(ReportCodec, BsRoundTrip) {
   const BsReport in = sample_bs();
-  DecodedReport out;
-  const auto& back =
-      decode_as<BsReport>(encode_report(in), ReportWireKind::kBs, &out);
+  const auto back = decode_as<BsReport>(encode_report(in));
   EXPECT_EQ(back.stamp, in.stamp);
   EXPECT_EQ(back.boundaries, in.boundaries);
   EXPECT_EQ(back.updates, in.updates);
@@ -125,10 +138,44 @@ TEST(ReportCodec, BsRoundTrip) {
 TEST(ReportCodec, EmptyListsRoundTrip) {
   FullReport in;
   in.stamp = 1.0;
-  DecodedReport out;
-  const auto& back =
-      decode_as<FullReport>(encode_report(in), ReportWireKind::kFull, &out);
+  const auto back = decode_as<FullReport>(encode_report(in));
   EXPECT_TRUE(back.updates.empty());
+}
+
+/// The one Payload entry point (used by the byzantine fault path and the
+/// serve socket): every report alternative round-trips to the same
+/// alternative with equal fields; every other alternative has no frame.
+TEST(ReportCodec, PayloadEntryPointCoversEveryAlternative) {
+  const Payload reports[] = {sample_full(), sample_mini(), sample_sig(),
+                             sample_digest(), sample_bs()};
+  for (const Payload& in : reports) {
+    SCOPED_TRACE(in.index());
+    const auto bytes = encode_report(in);
+    ASSERT_FALSE(bytes.empty());
+    Payload out;
+    std::string error;
+    ASSERT_TRUE(decode_report(bytes.data(), bytes.size(), &out, &error))
+        << error;
+    ASSERT_EQ(out.index(), in.index());
+    std::visit(
+        [&out](const auto& sent) {
+          using T = std::decay_t<decltype(sent)>;
+          if constexpr (requires { same(sent, sent); })
+            EXPECT_TRUE(same(sent, std::get<T>(out)));
+          else
+            ADD_FAILURE() << "not a report alternative";
+        },
+        in);
+  }
+
+  ItemPayload item;
+  item.digest = sample_digest();
+  DataPayload data;
+  data.digest = sample_digest();
+  const Payload others[] = {std::monostate{}, item, data, PollAck{},
+                            InvalidateNotice{}};
+  for (const Payload& p : others)
+    EXPECT_TRUE(encode_report(p).empty()) << "alternative " << p.index();
 }
 
 // --- corruption ------------------------------------------------------------
@@ -142,7 +189,7 @@ std::vector<std::vector<std::uint8_t>> all_samples() {
 TEST(ReportCodecCorruption, EveryTruncationFailsCleanly) {
   for (const auto& bytes : all_samples()) {
     for (std::size_t len = 0; len < bytes.size(); ++len) {
-      DecodedReport out;
+      Payload out;
       std::string error;
       EXPECT_FALSE(decode_report(bytes.data(), len, &out, &error))
           << "prefix of " << len << " bytes decoded";
@@ -153,7 +200,7 @@ TEST(ReportCodecCorruption, EveryTruncationFailsCleanly) {
 
 TEST(ReportCodecCorruption, BadMagicVersionKind) {
   auto bytes = encode_report(sample_full());
-  DecodedReport out;
+  Payload out;
   std::string error;
 
   auto corrupted = bytes;
@@ -175,7 +222,7 @@ TEST(ReportCodecCorruption, BadMagicVersionKind) {
 TEST(ReportCodecCorruption, TrailingBytesRejected) {
   auto bytes = encode_report(sample_mini());
   bytes.push_back(0);
-  DecodedReport out;
+  Payload out;
   std::string error;
   EXPECT_FALSE(decode_report(bytes.data(), bytes.size(), &out, &error));
   EXPECT_NE(error.find("trailing"), std::string::npos);
@@ -193,7 +240,7 @@ TEST(ReportCodecCorruption, HugeCountRejectedBeforeAllocation) {
   const std::uint32_t huge = 0xffffffffu;
   const auto* p = reinterpret_cast<const std::uint8_t*>(&huge);
   bytes.insert(bytes.end(), p, p + sizeof huge);
-  DecodedReport out;
+  Payload out;
   std::string error;
   EXPECT_FALSE(decode_report(bytes.data(), bytes.size(), &out, &error));
   EXPECT_NE(error.find("overruns"), std::string::npos);
@@ -205,12 +252,12 @@ TEST(ReportCodecCorruption, EverySingleBitFlipIsHandled) {
       for (int bit = 0; bit < 8; ++bit) {
         auto corrupted = bytes;
         corrupted[i] = static_cast<std::uint8_t>(corrupted[i] ^ (1u << bit));
-        DecodedReport out;
+        Payload out;
         std::string error;
         // Either verdict is acceptable; the requirement is a clean return and,
         // on success, a structurally sane payload.
         if (decode_report(corrupted.data(), corrupted.size(), &out, &error)) {
-          ASSERT_NE(out.payload, nullptr);
+          ASSERT_FALSE(std::holds_alternative<std::monostate>(out));
         } else {
           EXPECT_FALSE(error.empty());
         }
@@ -231,10 +278,10 @@ TEST(ReportCodecCorruption, RandomMutationStorm) {
     }
     if (rng.bernoulli(0.3))
       bytes.resize(rng.uniform_int(bytes.size() + 1));
-    DecodedReport out;
+    Payload out;
     std::string error;
     if (decode_report(bytes.data(), bytes.size(), &out, &error)) {
-      ASSERT_NE(out.payload, nullptr);
+      ASSERT_FALSE(std::holds_alternative<std::monostate>(out));
     } else {
       EXPECT_FALSE(error.empty());
     }

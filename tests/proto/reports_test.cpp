@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "proto/protocol.hpp"
+
 namespace wdc {
 namespace {
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "engine/digest.hpp"
 #include "engine/replication.hpp"
@@ -12,20 +15,18 @@
 /// Shard-invariance proofs (ctest label `scale`).
 ///
 /// The sharded core's determinism contract: results are a pure function of
-/// (scenario, seed, shard map) — `shards` (executors) and `shard_threads`
-/// (OS threads) are pure execution knobs. Every protocol runs the scaled
-/// 8-cell operating point under K ∈ {1,2,4,8} executors and {1,2,4} threads
-/// and must digest bit-identically; and at shard_cells=1 the sharded engine
+/// (scenario, seed, shard map) — `shard_threads` (OS threads, cell c →
+/// thread c % shard_threads) is a pure execution knob. Every protocol runs
+/// the scaled 8-cell operating point on {1,2,4,8} threads and must digest
+/// bit-identically; and at shard_cells=1 the sharded engine
 /// must reproduce the 11 pinned golden digests of the legacy serial engine
 /// exactly (golden_table.hpp).
 
 namespace wdc {
 namespace {
 
-std::uint64_t digest_with(ProtocolKind p, std::uint32_t shards,
-                          std::uint32_t threads) {
+std::uint64_t digest_with(ProtocolKind p, std::uint32_t threads) {
   Scenario s = scale_scenario(p);
-  s.shards = shards;
   s.shard_threads = threads;
   return metrics_digest(run_scenario(s));
 }
@@ -34,16 +35,11 @@ class ShardInvariance : public ::testing::TestWithParam<GoldenEntry> {};
 
 TEST_P(ShardInvariance, DigestIndependentOfExecutorsAndThreads) {
   const ProtocolKind p = GetParam().protocol;
-  const std::uint64_t ref = digest_with(p, /*shards=*/1, /*threads=*/1);
-  // Covers K ∈ {1,2,4,8} and thread counts ∈ {1,2,4}.
-  const struct {
-    std::uint32_t shards, threads;
-  } grid[] = {{2, 2}, {4, 4}, {8, 2}};
-  for (const auto& g : grid) {
-    EXPECT_EQ(digest_with(p, g.shards, g.threads), ref)
-        << to_string(p) << " digest changed at shards=" << g.shards
-        << " shard_threads=" << g.threads
-        << " — execution knobs leaked into the result";
+  const std::uint64_t ref = digest_with(p, /*threads=*/1);
+  for (const std::uint32_t threads : {2u, 4u, 8u}) {
+    EXPECT_EQ(digest_with(p, threads), ref)
+        << to_string(p) << " digest changed at shard_threads=" << threads
+        << " — the thread placement leaked into the result";
   }
 }
 
@@ -68,7 +64,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ShardDispatch, RunScenarioRoutesShardedScenariosThroughShardedCore) {
   Scenario s = scale_scenario(ProtocolKind::kTs);
-  s.shards = 4;
+  s.shard_threads = 4;
   ASSERT_TRUE(s.sharded());
   const Metrics via_dispatch = run_scenario(s);
   ShardedSimulation sim(s);
@@ -78,12 +74,10 @@ TEST(ShardDispatch, RunScenarioRoutesShardedScenariosThroughShardedCore) {
 TEST(ShardDispatch, ScenarioKeysParseAndValidate) {
   Config c;
   c.set("shard_cells", "8");
-  c.set("shards", "4");
   c.set("shard_threads", "2");
   c.set("shard_lag", "2");
   const Scenario s = Scenario::from_config(c);
   EXPECT_EQ(s.shard_cells, 8u);
-  EXPECT_EQ(s.shards, 4u);
   EXPECT_EQ(s.shard_threads, 2u);
   EXPECT_EQ(s.shard_lag, 2u);
   EXPECT_TRUE(s.sharded());
@@ -95,16 +89,19 @@ TEST(ShardDispatch, ScenarioKeysParseAndValidate) {
   bad = s;
   bad.shard_lag = 0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
-  bad = s;
-  bad.shards = 0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
+
+  // The executor layer is gone: its old key is now an unknown key.
+  Config old;
+  old.set("shards", "2");
+  (void)Scenario::from_config(old);
+  EXPECT_EQ(old.unused_keys(), std::vector<std::string>{"shards"});
+  EXPECT_THROW(old.require_all_used(), std::runtime_error);
 }
 
 /// The bounded lag itself is execution-only: any lag >= 1 admits the same
 /// per-cell event order, so widening the window must not move the digest.
 TEST(ShardDispatch, LagWindowIsExecutionOnly) {
   Scenario s = scale_scenario(ProtocolKind::kUir);
-  s.shards = 4;
   s.shard_threads = 2;
   const std::uint64_t ref = metrics_digest(run_scenario(s));
   s.shard_lag = 3;
@@ -116,7 +113,6 @@ TEST(ShardDispatch, LagWindowIsExecutionOnly) {
 /// nested inside each worker.
 TEST(ShardDispatch, ReplicationThreadIndependenceWithNestedShardThreads) {
   Scenario s = scale_scenario(ProtocolKind::kTs);
-  s.shards = 4;
   s.shard_threads = 2;
   const auto one = run_replications(s, /*reps=*/2, /*threads=*/1);
   const auto many = run_replications(s, /*reps=*/2, /*threads=*/2);

@@ -33,7 +33,6 @@ TEST(ShardMerge, MergeIntoEmptySnapshotIsBitExact) {
 
 TEST(ShardMerge, ShardedResultEqualsManualOrderedFold) {
   Scenario s = scale_scenario(ProtocolKind::kHyb);
-  s.shards = 4;
   s.shard_threads = 2;
   ShardedSimulation sim(s);
   const Metrics merged = sim.run();
@@ -46,7 +45,6 @@ TEST(ShardMerge, ShardedResultEqualsManualOrderedFold) {
 
 TEST(ShardMerge, CountersAggregateExactlyAcrossCells) {
   Scenario s = scale_scenario(ProtocolKind::kTs);
-  s.shards = 2;
   s.shard_threads = 2;
   ShardedSimulation sim(s);
   const Metrics merged = sim.run();

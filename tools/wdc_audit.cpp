@@ -11,9 +11,9 @@
 ///   3. One incremental run sliced into intervals, forcing a full structural
 ///      audit of the event queue and the MAC between slices (in checked
 ///      builds an invariant trip aborts the process; see docs/ANALYSIS.md).
-///   4. The sharded core (shard_cells=4) under paired same-seed runs and a
-///      grid of executor/thread placements — all digests must match, proving
-///      `shards`/`shard_threads` are pure execution knobs.
+///   4. The sharded core (shard_cells=4) under paired same-seed runs and
+///      several thread counts — all digests must match, proving
+///      `shard_threads` is a pure execution knob.
 ///
 /// It also re-checks the no-stale-read discipline: stale_serves must be zero
 /// for every protocol that guarantees consistency (all but CBL).
@@ -110,34 +110,28 @@ void check_audited_slices(const Scenario& sc, unsigned slices,
                   static_cast<unsigned long long>(reference)));
 }
 
-/// Check 4: the sharded core is deterministic and executor/thread-invariant.
-/// The scenario is re-run split into `shard_cells` cells (a scenario change,
-/// so its digest is its own reference — not the serial one) under paired
-/// same-seed runs and several executor/thread placements, all of which must
-/// digest identically.
+/// Check 4: the sharded core is deterministic and thread-invariant. The
+/// scenario is re-run split into `shard_cells` cells (a scenario change, so
+/// its digest is its own reference — not the serial one) under paired
+/// same-seed runs and several thread counts, all of which must digest
+/// identically.
 void check_shard_invariance(const Scenario& base, unsigned threads,
                             AuditResult& r) {
   Scenario sc = base;
   sc.shard_cells = std::min(4u, sc.num_clients);
-  sc.shards = 1;
   sc.shard_threads = 1;
   const std::uint64_t ref = digest_of(run_scenario(sc));
   if (digest_of(run_scenario(sc)) != ref) {
     r.fail("paired same-seed sharded runs diverged");
     return;
   }
-  const struct {
-    std::uint32_t shards, shard_threads;
-  } grid[] = {{2, 2}, {4, std::max(1u, threads)}};
-  for (const auto& g : grid) {
-    sc.shards = g.shards;
-    sc.shard_threads = g.shard_threads;
+  for (const std::uint32_t shard_threads : {2u, std::max(1u, threads)}) {
+    sc.shard_threads = shard_threads;
     const std::uint64_t d = digest_of(run_scenario(sc));
     if (d != ref)
-      r.fail(strfmt("sharded run diverged at shards=%u shard_threads=%u: "
+      r.fail(strfmt("sharded run diverged at shard_threads=%u: "
                     "%016llx vs %016llx",
-                    g.shards, g.shard_threads,
-                    static_cast<unsigned long long>(d),
+                    shard_threads, static_cast<unsigned long long>(d),
                     static_cast<unsigned long long>(ref)));
   }
 }
