@@ -5,32 +5,18 @@
 #include <exception>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
+#include "engine/executor.hpp"
 #include "engine/run_stats.hpp"
 #include "util/check.hpp"
 
 namespace wdc {
 
-namespace {
-
-/// Threads actually used: `shard_threads` (0 = the hardware), never more than
-/// one per cell.
-std::uint32_t placement_threads(std::uint32_t requested, std::uint32_t cells) {
-  if (requested == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    requested = hw ? hw : 1u;
-  }
-  return std::min(requested, cells);
-}
-
-}  // namespace
-
 ShardedSimulation::ShardedSimulation(Scenario scenario)
     : scenario_(std::move(scenario)),
       cells_n_(scenario_.shard_cells),
-      threads_(placement_threads(scenario_.shard_threads, cells_n_)),
+      threads_(resolve_threads(scenario_.shard_threads, cells_n_)),
       ledger_(cells_n_, scenario_.shard_lag) {
   scenario_.validate();
 }
@@ -52,8 +38,7 @@ void ShardedSimulation::run_cells(std::uint32_t t, double epoch_s,
   // Construction is the expensive part at large populations (channel
   // trajectory precompute is per-client and stays cell-local), so each
   // thread builds its own cells — in parallel with the other threads.
-  for (std::uint32_t c = 0; c < cells_n_; ++c) {
-    if (c % threads_ != t) continue;
+  for (std::uint32_t c = t; c < cells_n_; c += threads_) {
     Scenario cs = scenario_;
     // Each cell writes its own trace file: the .wdct format carries one
     // cell's event stream, and concurrent writers must never share a sink.
@@ -63,8 +48,7 @@ void ShardedSimulation::run_cells(std::uint32_t t, double epoch_s,
         cs, cell_span(c, cells_n_, scenario_.num_clients));
   }
   for (std::uint64_t e = 0; e < epochs; ++e) {
-    for (std::uint32_t c = 0; c < cells_n_; ++c) {
-      if (c % threads_ != t) continue;
+    for (std::uint32_t c = t; c < cells_n_; c += threads_) {
       ledger_.begin_epoch(c, e);
       const double until =
           std::min(epoch_s * static_cast<double>(e + 1), scenario_.sim_time_s);
@@ -72,8 +56,7 @@ void ShardedSimulation::run_cells(std::uint32_t t, double epoch_s,
       ledger_.complete_epoch(c, e, cells_[c]->epoch_seal());
     }
   }
-  for (std::uint32_t c = 0; c < cells_n_; ++c) {
-    if (c % threads_ != t) continue;
+  for (std::uint32_t c = t; c < cells_n_; c += threads_) {
     cells_[c]->run_until(scenario_.sim_time_s);
     cells_[c]->simulator().trace().finalize();
   }
@@ -88,28 +71,20 @@ Metrics ShardedSimulation::run() {
       1, static_cast<std::uint64_t>(std::ceil(scenario_.sim_time_s / epoch_s)));
   cells_.resize(cells_n_);
 
-  if (threads_ <= 1) {
-    run_cells(0, epoch_s, epochs);
-  } else {
-    std::vector<std::exception_ptr> errors(threads_);
-    std::vector<std::thread> pool;
-    pool.reserve(threads_);
-    for (std::uint32_t t = 0; t < threads_; ++t)
-      pool.emplace_back([this, t, epoch_s, epochs, &errors] {
-        try {
-          run_cells(t, epoch_s, epochs);
-        } catch (...) {
-          errors[t] = std::current_exception();
-          // Release every cell this thread owns so the surviving threads
-          // don't wait forever at the barrier; the error rethrows after join.
-          for (std::uint32_t c = 0; c < cells_n_; ++c)
-            if (c % threads_ == t) ledger_.abandon(c);
-        }
-      });
-    for (auto& th : pool) th.join();
-    for (auto& err : errors)
-      if (err) std::rethrow_exception(err);
-  }
+  std::vector<std::exception_ptr> errors(threads_);
+  run_on_threads(threads_, [&](unsigned t) {
+    try {
+      run_cells(t, epoch_s, epochs);
+    } catch (...) {
+      errors[t] = std::current_exception();
+      // Release every cell this thread owns so the surviving threads don't
+      // wait forever at the barrier; the error rethrows after the join.
+      for (std::uint32_t c = t; c < cells_n_; c += threads_)
+        ledger_.abandon(c);
+    }
+  });
+  for (auto& err : errors)
+    if (err) std::rethrow_exception(err);
 
   // The fold runs on the collecting thread in fixed cell order 0..C-1 — the
   // float-valued Summary reductions are order-sensitive, and this ordering is

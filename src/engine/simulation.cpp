@@ -60,24 +60,16 @@ Simulation::Simulation(Scenario scenario, ClientSpan span)
     links_.push_back(make_snr_process(scenario_.fading, mean_snr, link_rng));
     sleeps_.push_back(std::make_unique<SleepModel>(
         sim_, scenario_.sleep, sleep_rng,
-        [this, i](bool awake) {
-          if (i < clients_.size()) clients_[i]->on_sleep_transition(awake);
-        },
+        [this, i](bool awake) { clients_[i]->on_sleep_transition(awake); },
         static_cast<ClientId>(i)));
   }
   for (std::uint32_t g = 0; g < M; ++g) {
     Rng client_rng = wl_rng.split();
     if (g < span_.begin || g >= span_.end) continue;
     const std::uint32_t i = g - span_.begin;
-    SleepModel* sleep = sleeps_[i].get();
-    FaultInjector* faults = faults_.get();
-    // A churned-away client is deaf exactly like a sleeping one: the composed
-    // gate feeds radio_needed() (connected() is constant-true when disabled).
     clients_.push_back(make_client(
         scenario_.protocol, sim_, *mac_, *uplink_, *server_, *db_, scenario_.proto,
-        links_[i].get(),
-        [sleep, faults, i] { return sleep->awake() && faults->connected(i); },
-        *sink_, client_rng));
+        links_[i].get(), *sink_, client_rng));
     if (clients_.back()->id() != i)
       throw std::logic_error("Simulation: client registration order violated");
     clients_.back()->set_fault_injector(faults_.get());
@@ -87,16 +79,14 @@ Simulation::Simulation(Scenario scenario, ClientSpan span)
     if (g < span_.begin || g >= span_.end) continue;
     const std::uint32_t i = g - span_.begin;
     ClientProtocol* client = clients_[i].get();
-    SleepModel* sleep = sleeps_[i].get();
-    FaultInjector* faults = faults_.get();
     queries_.push_back(std::make_unique<QueryGenerator>(
         sim_, scenario_.query, scenario_.db.num_items, query_rng,
-        [sleep, faults, i] { return sleep->awake() && faults->connected(i); },
+        [client] { return client->reachable(); },
         [client](ItemId item) { client->on_query(item); }));
   }
-  faults_->set_churn_handler([this](ClientId c, bool connected) {
-    if (c < clients_.size()) clients_[c]->on_churn(connected);
-  });
+  // Sleep and churn edges feed the client's own awake/connected state.
+  faults_->set_churn_handler(
+      [this](ClientId c, bool connected) { clients_[c]->on_churn(connected); });
   faults_->set_server_handler(
       [this](bool down) { server_->on_server_state(down); });
 

@@ -9,8 +9,8 @@
 #include <mutex>
 #include <ostream>
 #include <stdexcept>
-#include <thread>
 
+#include "engine/executor.hpp"
 #include "engine/replication.hpp"
 #include "engine/simulation.hpp"
 #include "stats/table.hpp"
@@ -119,13 +119,7 @@ SweepGrid run_sweep(const SweepSpec& spec, const SweepOptions& opts,
     std::filesystem::create_directories(opts.trace_dir, ec);
   }
 
-  unsigned threads = opts.threads;
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  threads = static_cast<unsigned>(
-      std::min<std::size_t>(threads, ntasks));
+  const unsigned threads = resolve_threads(opts.threads, ntasks);
   grid.threads_used = threads;
 
   // One flat work queue over every (cell, replication) task. Each task writes
@@ -175,7 +169,7 @@ SweepGrid run_sweep(const SweepSpec& spec, const SweepOptions& opts,
       }
     }
   };
-  const auto worker = [&] {
+  run_on_threads(threads, [&](unsigned) {
     while (!failed.load(std::memory_order_relaxed)) {
       const std::size_t t = next.fetch_add(1, std::memory_order_relaxed);
       if (t >= ntasks) return;
@@ -190,16 +184,7 @@ SweepGrid run_sweep(const SweepSpec& spec, const SweepOptions& opts,
         failed.store(true, std::memory_order_relaxed);
       }
     }
-  };
-
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
-  }
+  });
   if (error) std::rethrow_exception(error);
 
   grid.wall_s = seconds_since(t0);

@@ -26,15 +26,19 @@ BroadcastMac::BroadcastMac(Simulator& sim, const McsTable& table, MacConfig cfg,
     throw std::invalid_argument("MacConfig: broadcast_percentile in [0,1]");
 }
 
-ClientId BroadcastMac::register_client(ClientPort port) {
-  if (port.link == nullptr || !port.is_listening || !port.on_reception)
-    throw std::invalid_argument("BroadcastMac: incomplete ClientPort");
-  ports_.push_back(PortEntry{std::move(port), AmcController(table_, cfg_.amc)});
-  return static_cast<ClientId>(ports_.size() - 1);
+ClientId BroadcastMac::register_client(SnrProcess* link,
+                                       MacListener* listener) {
+  if (link == nullptr || listener == nullptr)
+    throw std::invalid_argument("BroadcastMac: null link or listener");
+  links_.push_back(link);
+  listeners_.push_back(listener);
+  amcs_.emplace_back(table_, cfg_.amc);
+  listening_.push_back(0);
+  return static_cast<ClientId>(links_.size() - 1);
 }
 
 void BroadcastMac::enqueue(Message msg) {
-  WDC_ASSERT(msg.is_broadcast() || msg.dest < ports_.size(),
+  WDC_ASSERT(msg.is_broadcast() || msg.dest < links_.size(),
              "unicast ", to_string(msg.kind), " to unregistered client ", msg.dest);
   const auto k = static_cast<std::size_t>(msg.kind);
   kind_stats_[k].enqueued++;
@@ -51,27 +55,31 @@ std::size_t BroadcastMac::queued(MsgKind kind) const {
 double BroadcastMac::broadcast_reference_snr(SimTime t) const {
   // p-th percentile of listening clients' instantaneous SNR. With nobody
   // listening, fall back to the full population so the reference stays defined.
-  std::vector<double> snrs;
-  snrs.reserve(ports_.size());
-  for (const auto& pe : ports_)
-    if (pe.port.is_listening()) snrs.push_back(pe.port.link->snr_db(t));
+  std::vector<double>& snrs = snr_scratch_;
+  snrs.clear();
+  for (std::size_t c = 0; c < links_.size(); ++c)
+    if (listening_[c] != 0) snrs.push_back(links_[c]->snr_db(t));
   if (snrs.empty())
-    for (const auto& pe : ports_) snrs.push_back(pe.port.link->snr_db(t));
+    for (SnrProcess* link : links_) snrs.push_back(link->snr_db(t));
   if (snrs.empty()) return 0.0;
-  std::sort(snrs.begin(), snrs.end());
+  // Select order statistic `lo`; statistic `lo + 1` is the least value above.
   const double pos = cfg_.broadcast_percentile * static_cast<double>(snrs.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, snrs.size() - 1);
+  const auto nth = snrs.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(snrs.begin(), nth, snrs.end());
+  const double lo_snr = *nth;
+  const double hi_snr =
+      lo + 1 < snrs.size() ? *std::min_element(nth + 1, snrs.end()) : lo_snr;
   const double frac = pos - static_cast<double>(lo);
-  return snrs[lo] * (1.0 - frac) + snrs[hi] * frac;
+  return lo_snr * (1.0 - frac) + hi_snr * frac;
 }
 
 std::size_t BroadcastMac::pick_mcs(const Message& msg) {
   const SimTime when = std::max(0.0, sim_.now() - cfg_.amc.csi_delay_s);
   if (msg.is_broadcast())
     return bcast_amc_.select_from_snr(broadcast_reference_snr(when), msg.bits);
-  auto& pe = ports_.at(msg.dest);
-  return pe.amc.select_from_snr(pe.port.link->snr_db(when), msg.bits);
+  return amcs_.at(msg.dest).select_from_snr(links_[msg.dest]->snr_db(when),
+                                            msg.bits);
 }
 
 void BroadcastMac::try_start() {
@@ -123,10 +131,9 @@ void BroadcastMac::finish() {
   // independent decode draw (broadcast medium: everyone overhears everything).
   bool dest_decoded = false;
   const SimTime t = sim_.now();
-  for (std::size_t c = 0; c < ports_.size(); ++c) {
-    auto& pe = ports_[c];
-    if (!pe.port.is_listening()) continue;
-    const double snr = pe.port.link->snr_db(t);
+  for (std::size_t c = 0; c < links_.size(); ++c) {
+    if (listening_[c] == 0) continue;
+    const double snr = links_[c]->snr_db(t);
     const double p_ok = table_.decode_prob(fl.q.msg.bits, fl.mcs, snr);
     const bool decoded = rng_.bernoulli(p_ok);
     // Fault erasure applies AFTER the (unconditional) decode draw: an erased
@@ -145,13 +152,13 @@ void BroadcastMac::finish() {
     }
     if (ok && c == fl.q.msg.dest) dest_decoded = true;
     const Reception rx{fl.q.msg, ok, fl.airtime_s, fl.mcs};
-    pe.port.on_reception(rx);
+    listeners_[c]->on_reception(rx);
   }
 
   // Unicast ARQ: retry failed frames at the head of their class.
   if (!fl.q.msg.is_broadcast() && !dest_decoded) {
     const bool dest_listening =
-        fl.q.msg.dest < ports_.size() && ports_[fl.q.msg.dest].port.is_listening();
+        fl.q.msg.dest < links_.size() && listening_[fl.q.msg.dest] != 0;
     if (dest_listening && fl.q.attempts + 1 < cfg_.max_retx) {
       fl.q.attempts++;
       queues_[k].push_front(std::move(fl.q));
@@ -202,7 +209,7 @@ void BroadcastMac::audit() const {
             current_.has_value());
   if (current_.has_value())
     WDC_CHECK(current_->q.msg.is_broadcast() ||
-                  current_->q.msg.dest < ports_.size(),
+                  current_->q.msg.dest < links_.size(),
               "in-flight unicast frame to unregistered client ",
               current_->q.msg.dest);
 #endif

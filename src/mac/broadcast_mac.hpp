@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -43,14 +42,14 @@ struct MacConfig {
   unsigned max_retx = 3;             ///< unicast ARQ retry cap
 };
 
-/// A registered listener (one per client).
-struct ClientPort {
-  /// The client's downlink SNR process (owned by the caller, must outlive the MAC).
-  SnrProcess* link = nullptr;
-  /// Is the client's radio on right now?
-  std::function<bool()> is_listening;
-  /// Called for every transmission completed while listening.
-  std::function<void(const Reception&)> on_reception;
+/// A registered receiver (one per client). The MAC calls it for every
+/// transmission completed while the client's listening bit is set.
+class MacListener {
+ public:
+  virtual void on_reception(const Reception& rx) = 0;
+
+ protected:
+  ~MacListener() = default;
 };
 
 /// Per-kind MAC statistics.
@@ -83,8 +82,15 @@ class BroadcastMac {
   BroadcastMac(const BroadcastMac&) = delete;
   BroadcastMac& operator=(const BroadcastMac&) = delete;
 
-  /// Register a client; returns its id (dense, in registration order).
-  ClientId register_client(ClientPort port);
+  /// Register a client; returns its id (dense, in registration order). `link`
+  /// is its downlink SNR process; both it and `listener` are owned by the
+  /// caller and must outlive the MAC. A new client is not listening.
+  ClientId register_client(SnrProcess* link, MacListener* listener);
+
+  /// The client's owner pushes every change of its radio state here; the MAC
+  /// reads the bit on every fan-out, ARQ retry decision and broadcast MCS pick.
+  void set_listening(ClientId c, bool on) { listening_[c] = on ? 1 : 0; }
+  bool listening(ClientId c) const { return listening_[c] != 0; }
 
   /// Server-side observer invoked after every completed transmission (before
   /// listener delivery): protocols use it to clear pending-broadcast state and to
@@ -153,12 +159,14 @@ class BroadcastMac {
   std::array<std::deque<Queued>, kNumMsgKinds> queues_;
   std::optional<InFlight> current_;
 
-  struct PortEntry {
-    ClientPort port;
-    AmcController amc;  ///< per-destination hysteresis state for unicast
-  };
-  std::vector<PortEntry> ports_;
+  // Registered clients, indexed by ClientId.
+  std::vector<SnrProcess*> links_;
+  std::vector<MacListener*> listeners_;
+  std::vector<AmcController> amcs_;  ///< per-destination hysteresis for unicast
+  std::vector<std::uint8_t> listening_;
   AmcController bcast_amc_;
+  /// broadcast_reference_snr's reusable selection buffer.
+  mutable std::vector<double> snr_scratch_;
 
   /// Sentinel for "no broadcast transmitted yet" (MCS-switch trace events
   /// compare against the previous broadcast MCS).

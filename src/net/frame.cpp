@@ -10,8 +10,8 @@ std::vector<std::uint8_t> frame_encode(const std::uint8_t* payload,
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderBytes + size);
   const auto len = static_cast<std::uint32_t>(size);
-  const auto* lp = reinterpret_cast<const std::uint8_t*>(&len);
-  out.insert(out.end(), lp, lp + kFrameHeaderBytes);
+  for (std::size_t i = 0; i < kFrameHeaderBytes; ++i)
+    out.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
   out.insert(out.end(), payload, payload + size);
   return out;
 }
@@ -28,7 +28,8 @@ bool FrameDecoder::feed(const std::uint8_t* p, std::size_t n) {
       n -= take;
       if (header_filled_ < kFrameHeaderBytes) return true;
       std::uint32_t len = 0;
-      std::memcpy(&len, header_, sizeof len);
+      for (std::size_t i = 0; i < kFrameHeaderBytes; ++i)
+        len |= static_cast<std::uint32_t>(header_[i]) << (8 * i);
       header_filled_ = 0;
       // Ceiling check happens HERE, before partial_ ever grows: a hostile
       // 4 GiB declaration never reaches an allocator.

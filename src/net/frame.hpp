@@ -29,7 +29,7 @@ inline constexpr std::size_t kMaxFramePayload = 1u << 20;
 /// Bytes of the length prefix.
 inline constexpr std::size_t kFrameHeaderBytes = 4;
 
-/// Wrap `payload` in a frame: u32 length (native endian) + bytes.
+/// Wrap `payload` in a frame: u32 length (little-endian) + bytes.
 std::vector<std::uint8_t> frame_encode(const std::uint8_t* payload,
                                        std::size_t size);
 inline std::vector<std::uint8_t> frame_encode(

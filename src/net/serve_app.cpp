@@ -84,7 +84,6 @@ bool ServeApp::start(std::string* error) {
 
   // Pre-register one MAC port per scenario client so traffic destinations are
   // always valid; connections bind to (and release) these slots as they churn.
-  slot_conn_.reserve(sc.num_clients);
   for (std::uint32_t i = 0; i < sc.num_clients; ++i) register_slot();
   free_slots_.reserve(sc.num_clients);
   for (std::uint32_t i = sc.num_clients; i > 0; --i)
@@ -136,28 +135,23 @@ bool ServeApp::start(std::string* error) {
   return true;
 }
 
-void ServeApp::register_slot() {
-  const ClientId expect = static_cast<ClientId>(slot_conn_.size());
-  slot_conn_.push_back(nullptr);
-  const ClientId got = mac_->register_client(ClientPort{
-      &link_snr_,
-      [this, expect] { return slot_conn_[expect] != nullptr; },
-      [this, expect](const Reception& rx) { on_reception(expect, rx); }});
-  WDC_CHECK(got == expect, "MAC port ids must stay dense");
+ClientId ServeApp::register_slot() {
+  const auto id = static_cast<ClientId>(slots_.size());
+  slots_.emplace_back(this, id);
+  const ClientId got = mac_->register_client(&link_snr_, &slots_.back());
+  WDC_CHECK(got == id, "MAC port ids must stay dense");
+  return id;
 }
 
-ClientId ServeApp::bind_slot(Conn& c) {
-  if (free_slots_.empty()) register_slot();
-  ClientId slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
+void ServeApp::bind_slot(Conn& c) {
+  if (free_slots_.empty()) {
+    c.cid = register_slot();
   } else {
-    slot = static_cast<ClientId>(slot_conn_.size() - 1);
+    c.cid = free_slots_.back();
+    free_slots_.pop_back();
   }
-  slot_conn_[slot] = &c;
-  c.cid = slot;
-  return slot;
+  slots_[c.cid].conn = &c;
+  mac_->set_listening(c.cid, true);
 }
 
 void ServeApp::request_stop() {
@@ -441,8 +435,8 @@ const std::vector<std::uint8_t>& ServeApp::encoded_frame(const Message& msg) {
 }
 
 void ServeApp::on_reception(ClientId slot, const Reception& rx) {
-  Conn* c = slot_conn_[slot];
-  if (c == nullptr) return;
+  Conn* c = slots_[slot].conn;
+  WDC_ASSERT(c != nullptr, "MAC delivered to unbound slot ", slot);
   const Message& msg = rx.msg;
   if (!msg.is_broadcast()) {
     // Unicast rides the MAC's ARQ: deliver only the successfully decoded
@@ -580,7 +574,8 @@ void ServeApp::close_conn(int fd, const char* reason) {
   Conn& c = *it->second;
   stats_.dropped_answers += c.outstanding;
   if (c.cid != kInvalidClient) {
-    slot_conn_[c.cid] = nullptr;
+    slots_[c.cid].conn = nullptr;
+    mac_->set_listening(c.cid, false);
     free_slots_.push_back(c.cid);
   }
   loop_.remove(fd);

@@ -10,7 +10,7 @@
 /// simulation time paced against CLOCK_MONOTONIC (`time_scale` simulated
 /// seconds per wall second).
 ///
-/// Connection ↔ MAC bridge: every connection binds to a MAC ClientPort slot
+/// Connection ↔ MAC bridge: every connection binds to a MAC client slot
 /// (pre-registered for the scenario's client population, grown and reused as
 /// connections churn — MAC ports are never unregistered, so slots are a free
 /// list). Completed MAC transmissions are encoded as serve_codec envelopes:
@@ -28,6 +28,7 @@
 /// traces and the parts telescope to the measured latency by construction
 /// (the last part is the residual).
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -167,8 +168,8 @@ class ServeApp {
   void close_conn(int fd, const char* reason);
   void sweep_timeouts(double now);
 
-  ClientId bind_slot(Conn& c);
-  void register_slot();
+  void bind_slot(Conn& c);
+  ClientId register_slot();
 
   void emit_trace(const TraceEvent& ev);
   void record_answers(ClientId cid, ItemId item,
@@ -192,13 +193,24 @@ class ServeApp {
   FdGuard listener_;
   int port_ = 0;
   FdGuard wake_rd_, wake_wr_;
-  volatile bool stop_ = false;
+  std::atomic<bool> stop_{false};  ///< set by request_stop(), any thread
   double epoch_s_ = 0.0;
   double next_sweep_s_ = 0.0;
 
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
-  /// ClientId (MAC port slot) → live connection, nullptr when unbound.
-  std::vector<Conn*> slot_conn_;
+  /// A MAC client slot, forwarding its receptions to on_reception(). The MAC
+  /// holds its address, hence the deque. `conn` is the bound connection or
+  /// nullptr; the slot's MAC listening bit is set exactly while one is bound.
+  struct Slot final : MacListener {
+    Slot(ServeApp* app_, ClientId id_) : app(app_), id(id_) {}
+    void on_reception(const Reception& rx) override {
+      app->on_reception(id, rx);
+    }
+    ServeApp* app;
+    ClientId id;
+    Conn* conn = nullptr;
+  };
+  std::deque<Slot> slots_;
   std::vector<ClientId> free_slots_;
 
   /// Broadcast frames encode once per MAC delivery sweep, not once per port:

@@ -20,8 +20,7 @@ constexpr SimTime kEps = 1e-9;
 ClientProtocol::ClientProtocol(Simulator& sim, BroadcastMac& mac,
                                UplinkChannel& uplink, ServerProtocol& server,
                                const Database& oracle, ProtoConfig cfg,
-                               SnrProcess* link, std::function<bool()> is_awake,
-                               StatsSink& sink, Rng rng)
+                               SnrProcess* link, StatsSink& sink, Rng rng)
     : cache_(cfg.cache_capacity),
       rng_(rng),
       sink_(sink),
@@ -30,16 +29,13 @@ ClientProtocol::ClientProtocol(Simulator& sim, BroadcastMac& mac,
       mac_(mac),
       uplink_(uplink),
       server_(server),
-      oracle_(oracle),
-      is_awake_(std::move(is_awake)) {
-  ClientPort port;
-  port.link = link;
-  port.is_listening = [this] { return radio_needed(); };
-  port.on_reception = [this](const Reception& rx) { on_reception(rx); };
-  id_ = mac_.register_client(std::move(port));
-  // Under selective tuning the radio starts ON and stays on until the first
-  // report synchronises us; finish_report() then begins the doze cycle.
-  tuned_on_ = true;
+      oracle_(oracle) {
+  // Room for the usual in-flight fetches. Allocated here, it also leaves a
+  // small block between each client's larger ones, so glibc does not trim and
+  // re-fault the heap when simulations are built back to back.
+  request_timers_.reserve(2);
+  id_ = mac_.register_client(link, this);
+  note_radio_state();
 }
 
 void ClientProtocol::on_query(ItemId item) {
@@ -61,6 +57,7 @@ void ClientProtocol::enqueue_pending(ItemId item, SimTime qtime, bool awaiting) 
 }
 
 void ClientProtocol::on_sleep_transition(bool awake) {
+  awake_ = awake;
   note_radio_state();
   if (awake) return;  // wake-up: the next report re-synchronises us
   abandon_pending();
@@ -79,6 +76,7 @@ void ClientProtocol::abandon_pending() {
 }
 
 void ClientProtocol::on_churn(bool connected) {
+  connected_ = connected;
   note_radio_state();
   if (!connected) {
     // Radio gone: like sleep, pending work cannot complete.
@@ -114,13 +112,11 @@ void ClientProtocol::note_consistency_reached() {
 
 // ------------------------------------------------------------ radio / tuning --
 
-bool ClientProtocol::radio_needed() const {
-  if (!is_awake_()) return false;
+bool ClientProtocol::radio_on() const {
+  if (!reachable()) return false;
   if (!cfg_.selective_tuning) return true;
   return tuned_on_ || !request_timers_.empty();
 }
-
-bool ClientProtocol::radio_on() const { return radio_needed(); }
 
 double ClientProtocol::radio_on_time(SimTime now) const {
   // TimeWeighted tracks the 0/1 power state; integral = average × span.
@@ -128,7 +124,9 @@ double ClientProtocol::radio_on_time(SimTime now) const {
 }
 
 void ClientProtocol::note_radio_state() {
-  radio_tw_.update(sim_.now(), radio_needed() ? 1.0 : 0.0);
+  const bool on = radio_on();
+  radio_tw_.update(sim_.now(), on ? 1.0 : 0.0);
+  mac_.set_listening(id_, on);
 }
 
 void ClientProtocol::schedule_tune_open() {
@@ -165,6 +163,8 @@ void ClientProtocol::tune_close() {
 // ---------------------------------------------------------------- reception --
 
 void ClientProtocol::on_reception(const Reception& rx) {
+  WDC_ASSERT(radio_on(), "client ", id_, " offered a ", to_string(rx.msg.kind),
+             " frame with its radio off");
   sink_.add_listen_airtime(rx.airtime_s);
   const bool is_report = rx.msg.kind == MsgKind::kInvalidationReport ||
                          rx.msg.kind == MsgKind::kMiniReport;

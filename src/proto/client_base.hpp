@@ -31,7 +31,6 @@
 /// item keeps the radio on. Doze time is the classic IR energy win; the cost is
 /// deafness to mini reports and digests between grid points.
 
-#include <memory>
 #include <vector>
 
 #include "cache/lru_cache.hpp"
@@ -51,14 +50,13 @@ namespace wdc {
 
 class FaultInjector;
 
-class ClientProtocol {
+class ClientProtocol : private MacListener {
  public:
   /// Registers the client with the MAC. `oracle` is the server database, used
   /// exclusively for staleness verification (never for protocol decisions).
   ClientProtocol(Simulator& sim, BroadcastMac& mac, UplinkChannel& uplink,
                  ServerProtocol& server, const Database& oracle, ProtoConfig cfg,
-                 SnrProcess* link, std::function<bool()> is_awake, StatsSink& sink,
-                 Rng rng);
+                 SnrProcess* link, StatsSink& sink, Rng rng);
   virtual ~ClientProtocol() = default;
 
   ClientProtocol(const ClientProtocol&) = delete;
@@ -86,7 +84,6 @@ class ClientProtocol {
 
   ClientId id() const { return id_; }
   const LruCache& cache() const { return cache_; }
-  SimTime consistency_point() const { return tc_; }
   std::size_t pending_queries() const { return pending_.size(); }
 
   /// Whether this scheme promises zero stale answers. Every IR-family scheme
@@ -95,8 +92,10 @@ class ClientProtocol {
   /// WDC_CHECK at answer time instead of merely counting in the stats.
   virtual bool guarantees_consistency() const { return true; }
 
-  /// True when the receiver is powered: awake, and — under selective tuning —
-  /// inside a tuning window or fetching an item.
+  /// Awake and not churned away: the application issues queries.
+  bool reachable() const { return awake_ && connected_; }
+  /// True when the receiver is powered: reachable, and — under selective
+  /// tuning — inside a tuning window or fetching an item.
   bool radio_on() const;
   /// Cumulative powered-radio time up to `now` (energy accounting).
   double radio_on_time(SimTime now) const;
@@ -173,7 +172,7 @@ class ClientProtocol {
   Simulator& sim_;
 
  private:
-  void on_reception(const Reception& rx);
+  void on_reception(const Reception& rx) override;
   /// Route a decoded report payload of a `kind` frame to the handle_*
   /// overrides.
   void dispatch_report(MsgKind kind, const Payload& payload);
@@ -197,8 +196,9 @@ class ClientProtocol {
   void schedule_tune_open();
   void tune_open();
   void tune_close();
+  /// Record a possible radio_on() change in the energy accounting and push it
+  /// to the MAC's listening bit. Every change to radio_on()'s inputs calls it.
   void note_radio_state();
-  bool radio_needed() const;
 
   struct PendingQuery {
     ItemId item;
@@ -229,7 +229,8 @@ class ClientProtocol {
   UplinkChannel& uplink_;
   ServerProtocol& server_;
   const Database& oracle_;
-  std::function<bool()> is_awake_;
+  bool awake_ = true;      ///< sleep model state, from on_sleep_transition()
+  bool connected_ = true;  ///< fault-layer churn state, from on_churn()
   ClientId id_ = kInvalidClient;
   std::vector<PendingQuery> pending_;
   /// In-flight uplink fetches and their re-request timers. A client awaits a
@@ -242,7 +243,9 @@ class ClientProtocol {
   SimTime rejoin_at_ = 0.0;
   std::uint64_t exposed_ = 0;  ///< suspect entries shed during this recovery
 
-  bool tuned_on_ = true;       ///< selective tuning: window currently open
+  /// Selective tuning: window currently open. It starts open, so the radio
+  /// stays on until the first applied report begins the doze cycle.
+  bool tuned_on_ = true;
   std::uint64_t grid_tick_ = 0;
   EventId tune_timer_{};
   TimeWeighted radio_tw_{0.0, 1.0};

@@ -1,6 +1,7 @@
 #include "proto/factory.hpp"
 
 #include <stdexcept>
+#include <type_traits>
 
 #include "proto/at.hpp"
 #include "proto/baselines.hpp"
@@ -39,42 +40,24 @@ std::unique_ptr<ClientProtocol> make_client(ProtocolKind kind, Simulator& sim,
                                             ServerProtocol& server,
                                             const Database& oracle,
                                             const ProtoConfig& cfg, SnrProcess* link,
-                                            std::function<bool()> is_awake,
                                             StatsSink& sink, Rng rng) {
+  // One constructor call, instantiated per client type.
+  const auto make = [&](auto type) -> std::unique_ptr<ClientProtocol> {
+    return std::make_unique<typename decltype(type)::type>(
+        sim, mac, uplink, server, oracle, cfg, link, sink, rng);
+  };
   switch (kind) {
-    case ProtocolKind::kTs:
-      return std::make_unique<ClientTs>(sim, mac, uplink, server, oracle, cfg, link,
-                                        std::move(is_awake), sink, rng);
-    case ProtocolKind::kAt:
-      return std::make_unique<ClientAt>(sim, mac, uplink, server, oracle, cfg, link,
-                                        std::move(is_awake), sink, rng);
-    case ProtocolKind::kSig:
-      return std::make_unique<ClientSig>(sim, mac, uplink, server, oracle, cfg, link,
-                                         std::move(is_awake), sink, rng);
-    case ProtocolKind::kUir:
-      return std::make_unique<ClientUir>(sim, mac, uplink, server, oracle, cfg, link,
-                                         std::move(is_awake), sink, rng);
-    case ProtocolKind::kLair:
-      return std::make_unique<ClientLair>(sim, mac, uplink, server, oracle, cfg, link,
-                                          std::move(is_awake), sink, rng);
-    case ProtocolKind::kPig:
-      return std::make_unique<ClientPig>(sim, mac, uplink, server, oracle, cfg, link,
-                                         std::move(is_awake), sink, rng);
-    case ProtocolKind::kHyb:
-      return std::make_unique<ClientHyb>(sim, mac, uplink, server, oracle, cfg, link,
-                                         std::move(is_awake), sink, rng);
-    case ProtocolKind::kNc:
-      return std::make_unique<ClientNc>(sim, mac, uplink, server, oracle, cfg, link,
-                                        std::move(is_awake), sink, rng);
-    case ProtocolKind::kPer:
-      return std::make_unique<ClientPer>(sim, mac, uplink, server, oracle, cfg, link,
-                                         std::move(is_awake), sink, rng);
-    case ProtocolKind::kBs:
-      return std::make_unique<ClientBs>(sim, mac, uplink, server, oracle, cfg, link,
-                                        std::move(is_awake), sink, rng);
-    case ProtocolKind::kCbl:
-      return std::make_unique<ClientCbl>(sim, mac, uplink, server, oracle, cfg, link,
-                                         std::move(is_awake), sink, rng);
+    case ProtocolKind::kTs: return make(std::type_identity<ClientTs>{});
+    case ProtocolKind::kAt: return make(std::type_identity<ClientAt>{});
+    case ProtocolKind::kSig: return make(std::type_identity<ClientSig>{});
+    case ProtocolKind::kUir: return make(std::type_identity<ClientUir>{});
+    case ProtocolKind::kLair: return make(std::type_identity<ClientLair>{});
+    case ProtocolKind::kPig: return make(std::type_identity<ClientPig>{});
+    case ProtocolKind::kHyb: return make(std::type_identity<ClientHyb>{});
+    case ProtocolKind::kNc: return make(std::type_identity<ClientNc>{});
+    case ProtocolKind::kPer: return make(std::type_identity<ClientPer>{});
+    case ProtocolKind::kBs: return make(std::type_identity<ClientBs>{});
+    case ProtocolKind::kCbl: return make(std::type_identity<ClientCbl>{});
   }
   throw std::logic_error("make_client: unreachable");
 }

@@ -21,7 +21,6 @@ std::unique_ptr<ClientProtocol> make_client(ProtocolKind kind, Simulator& sim,
                                             ServerProtocol& server,
                                             const Database& oracle,
                                             const ProtoConfig& cfg, SnrProcess* link,
-                                            std::function<bool()> is_awake,
                                             StatsSink& sink, Rng rng);
 
 }  // namespace wdc

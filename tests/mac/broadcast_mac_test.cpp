@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace wdc {
@@ -10,10 +11,13 @@ namespace {
 /// Harness: a MAC with N fixed-SNR clients and simple recording listeners.
 class MacTest : public ::testing::Test {
  protected:
-  struct ClientRec {
+  struct ClientRec final : MacListener {
+    void on_reception(const Reception& rx) override {
+      ++heard;
+      if (rx.decoded) decoded.push_back(rx.msg);
+    }
     std::vector<Message> decoded;
     int heard = 0;
-    bool listening = true;
   };
 
   MacTest() : table_(McsTable::simple3()) {}
@@ -23,15 +27,8 @@ class MacTest : public ::testing::Test {
     recs_.resize(snrs.size());
     for (std::size_t i = 0; i < snrs.size(); ++i) {
       links_.push_back(std::make_unique<FixedSnr>(snrs[i]));
-      ClientRec* rec = &recs_[i];
-      ClientPort port;
-      port.link = links_.back().get();
-      port.is_listening = [rec] { return rec->listening; };
-      port.on_reception = [rec](const Reception& rx) {
-        ++rec->heard;
-        if (rx.decoded) rec->decoded.push_back(rx.msg);
-      };
-      mac_->register_client(std::move(port));
+      const ClientId id = mac_->register_client(links_.back().get(), &recs_[i]);
+      mac_->set_listening(id, true);
     }
   }
 
@@ -51,7 +48,10 @@ class MacTest : public ::testing::Test {
 
 TEST_F(MacTest, RejectsIncompletePort) {
   build({}, {20.0});
-  EXPECT_THROW(mac_->register_client(ClientPort{}), std::invalid_argument);
+  EXPECT_THROW(mac_->register_client(nullptr, &recs_[0]),
+               std::invalid_argument);
+  EXPECT_THROW(mac_->register_client(links_[0].get(), nullptr),
+               std::invalid_argument);
 }
 
 TEST_F(MacTest, BroadcastReachesAllListeners) {
@@ -67,7 +67,7 @@ TEST_F(MacTest, BroadcastReachesAllListeners) {
 
 TEST_F(MacTest, SleepingClientHearsNothing) {
   build({}, {30.0, 30.0});
-  recs_[1].listening = false;
+  mac_->set_listening(1, false);
   mac_->enqueue(broadcast_msg(MsgKind::kItemData, 1000));
   sim_.run_until(10.0);
   EXPECT_EQ(recs_[0].heard, 1);
@@ -182,7 +182,7 @@ TEST_F(MacTest, BroadcastReferencePercentile) {
   cfg.broadcast_percentile = 0.0;  // minimum over listeners
   build(cfg, {5.0, 15.0, 25.0});
   EXPECT_NEAR(mac_->broadcast_reference_snr(0.0), 5.0, 1e-9);
-  recs_[0].listening = false;  // weakest asleep: reference moves up
+  mac_->set_listening(0, false);  // weakest asleep: reference moves up
   EXPECT_NEAR(mac_->broadcast_reference_snr(0.0), 15.0, 1e-9);
 }
 
@@ -191,6 +191,47 @@ TEST_F(MacTest, BroadcastReferenceInterpolates) {
   cfg.broadcast_percentile = 0.5;
   build(cfg, {0.0, 10.0});
   EXPECT_NEAR(mac_->broadcast_reference_snr(0.0), 5.0, 1e-9);
+}
+
+/// The percentile of a sorted copy, interpolated between neighbours: the
+/// reference broadcast_reference_snr must reproduce exactly.
+double sorted_percentile(std::vector<double> v, double p) {
+  std::sort(v.begin(), v.end());
+  const double pos = p * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+TEST_F(MacTest, BroadcastReferenceMatchesSortedReference) {
+  // Odd and even populations with ties and an unsorted registration order.
+  for (const std::vector<double>& snrs :
+       {std::vector<double>{17.0, -3.5, 9.25, 9.25, 30.0, 0.5, 12.0},
+        std::vector<double>{8.0, 22.5, -1.0, 8.0, 14.75, 3.0, 27.0, 5.5}}) {
+    for (const double p : {0.0, 0.1, 0.25, 0.5, 0.73, 0.9, 1.0}) {
+      MacConfig cfg;
+      cfg.broadcast_percentile = p;
+      links_.clear();
+      recs_.clear();
+      build(cfg, snrs);
+      EXPECT_EQ(mac_->broadcast_reference_snr(0.0), sorted_percentile(snrs, p))
+          << "n=" << snrs.size() << " p=" << p;
+      // Listeners only: drop clients 0 and 2 from both sides.
+      mac_->set_listening(0, false);
+      mac_->set_listening(2, false);
+      std::vector<double> listening = snrs;
+      listening.erase(listening.begin() + 2);
+      listening.erase(listening.begin());
+      EXPECT_EQ(mac_->broadcast_reference_snr(0.0),
+                sorted_percentile(listening, p))
+          << "n=" << snrs.size() << " p=" << p << " (listeners only)";
+      // Nobody listening: the whole population is the reference again.
+      for (ClientId c = 0; c < snrs.size(); ++c) mac_->set_listening(c, false);
+      EXPECT_EQ(mac_->broadcast_reference_snr(0.0), sorted_percentile(snrs, p))
+          << "n=" << snrs.size() << " p=" << p << " (nobody listening)";
+    }
+  }
 }
 
 TEST_F(MacTest, TxObserverSeesEveryTransmission) {

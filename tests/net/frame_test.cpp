@@ -34,6 +34,24 @@ std::vector<std::uint8_t> stream_of(
   return stream;
 }
 
+TEST(FrameDecoder, LengthPrefixIsLittleEndian) {
+  // The wire format is fixed whatever the host's byte order.
+  const auto frame = frame_encode(payload_of(0x0102, 0));
+  ASSERT_EQ(frame.size(), kFrameHeaderBytes + 0x0102);
+  EXPECT_EQ(frame[0], 0x02);
+  EXPECT_EQ(frame[1], 0x01);
+  EXPECT_EQ(frame[2], 0x00);
+  EXPECT_EQ(frame[3], 0x00);
+  const std::uint8_t header[kFrameHeaderBytes] = {0x03, 0x00, 0x00, 0x00};
+  const std::uint8_t body[3] = {7, 8, 9};
+  FrameDecoder dec;
+  ASSERT_TRUE(dec.feed(header, sizeof header));
+  ASSERT_TRUE(dec.feed(body, sizeof body));
+  std::vector<std::uint8_t> got;
+  ASSERT_TRUE(dec.next(&got));
+  EXPECT_EQ(got, std::vector<std::uint8_t>({7, 8, 9}));
+}
+
 TEST(FrameDecoder, WholeFramesRoundTrip) {
   const std::vector<std::vector<std::uint8_t>> payloads = {
       payload_of(1, 7), payload_of(0, 0), payload_of(1000, 3)};

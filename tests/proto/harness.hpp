@@ -34,11 +34,8 @@ class ProtoHarness {
     server_ = make_server(kind, sim_, *mac_, *db_, pcfg);
     for (std::size_t i = 0; i < num_clients; ++i) {
       links_.push_back(std::make_unique<FixedSnr>(snr_db));
-      awake_.push_back(std::make_unique<bool>(true));
-      bool* flag = awake_.back().get();
       clients_.push_back(make_client(kind, sim_, *mac_, *uplink_, *server_, *db_,
-                                     pcfg, links_.back().get(),
-                                     [flag] { return *flag; }, *sink_,
+                                     pcfg, links_.back().get(), *sink_,
                                      Rng(100 + i)));
     }
     server_->start();
@@ -53,8 +50,7 @@ class ProtoHarness {
 
   /// Put the client to sleep / wake it (mirrors what SleepModel would do).
   void set_awake(std::size_t i, bool awake) {
-    if (*awake_[i] == awake) return;
-    *awake_[i] = awake;
+    if (clients_[i]->reachable() == awake) return;
     clients_[i]->on_sleep_transition(awake);
   }
 
@@ -66,7 +62,6 @@ class ProtoHarness {
   std::unique_ptr<StatsSink> sink_;
   std::unique_ptr<ServerProtocol> server_;
   std::vector<std::unique_ptr<FixedSnr>> links_;
-  std::vector<std::unique_ptr<bool>> awake_;
   std::vector<std::unique_ptr<ClientProtocol>> clients_;
 };
 

@@ -231,15 +231,11 @@ TEST(ReportCodecCorruption, TrailingBytesRejected) {
 TEST(ReportCodecCorruption, HugeCountRejectedBeforeAllocation) {
   // Hand-build a FullReport whose update count claims 2^32-1 entries with no
   // bytes behind it: the decoder must reject on the remaining-bytes cap.
+  // Two 0.0 stamps and the count are all-zero and all-one bytes, so the image
+  // is the same in either byte order.
   std::vector<std::uint8_t> bytes = {'W', 'R', kReportCodecVersion, 0};
-  const double zero = 0.0;
-  for (int i = 0; i < 2; ++i) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&zero);
-    bytes.insert(bytes.end(), p, p + sizeof zero);
-  }
-  const std::uint32_t huge = 0xffffffffu;
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&huge);
-  bytes.insert(bytes.end(), p, p + sizeof huge);
+  bytes.insert(bytes.end(), 2 * sizeof(double), std::uint8_t{0x00});
+  bytes.insert(bytes.end(), sizeof(std::uint32_t), std::uint8_t{0xff});
   Payload out;
   std::string error;
   EXPECT_FALSE(decode_report(bytes.data(), bytes.size(), &out, &error));

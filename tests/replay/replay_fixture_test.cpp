@@ -42,6 +42,12 @@ struct ReplayCase {
   GoldenEntry expect;  ///< this protocol's pinned entry
 };
 
+// Print a case as its fixture and protocol: gtest's default byte dump of the
+// pointers would put load addresses into the discovered test names.
+void PrintTo(const ReplayCase& rc, std::ostream* os) {
+  *os << rc.fixture << ' ' << to_string(rc.expect.protocol);
+}
+
 class ReplayFixture : public ::testing::TestWithParam<ReplayCase> {};
 
 Metrics run_fixture(const ReplayCase& rc) {

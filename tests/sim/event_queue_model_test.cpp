@@ -54,7 +54,8 @@ TEST(EventQueueModel, RandomScriptMatchesMultisetReference) {
     if (u < 0.45) {
       // Push on a half-second grid: collisions in time (and often priority)
       // are frequent, so the seq tie-break is continuously exercised.
-      const double t = frontier + 0.5 * rng.uniform_int(8);
+      const double t =
+          frontier + 0.5 * static_cast<double>(rng.uniform_int(8));
       const auto prio = static_cast<EventPriority>(rng.uniform_int(6));
       const EventId id = q.push(t, prio, [] {});
       const auto it = model.insert({t, prio, next_seq});
@@ -119,7 +120,7 @@ TEST(EventQueueModel, PopDueMatchesReferenceAtEveryLimit) {
   std::multiset<ModelEvent, FiresBefore> model;
   std::uint64_t next_seq = 1;
   for (int i = 0; i < 500; ++i) {
-    const double t = 0.5 * rng.uniform_int(40);
+    const double t = 0.5 * static_cast<double>(rng.uniform_int(40));
     const auto prio = static_cast<EventPriority>(rng.uniform_int(6));
     q.push(t, prio, [] {});
     model.insert({t, prio, next_seq++});

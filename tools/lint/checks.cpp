@@ -75,13 +75,14 @@ const char* const kSimDirs[] = {"src/sim",   "src/engine", "src/channel",
                                 "src/mac",   "src/cache",  "src/faults"};
 
 bool in_sim_dirs(const std::string& path) {
+  std::string rooted = "/";
+  rooted += path;
   for (const char* d : kSimDirs) {
-    const std::string dir(d);
-    const std::size_t slash = dir.find('/');
     // Match ".../src/sim/..." regardless of the repo-root prefix.
-    if (("/" + path).find("/" + dir.substr(0, slash) + "/" +
-                          dir.substr(slash + 1) + "/") != std::string::npos)
-      return true;
+    std::string needle = "/";
+    needle += d;
+    needle += '/';
+    if (rooted.find(needle) != std::string::npos) return true;
   }
   return false;
 }
