@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "channel/fsmc.hpp"
-#include "channel/jakes_v2.hpp"
 #include "engine/simulation.hpp"
 #include "phy/mcs.hpp"
 #include "sim/event_queue.hpp"
@@ -50,17 +49,6 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(100)->Arg(10000);
-
-void BM_JakesPowerGain(benchmark::State& state) {
-  Rng rng(3);
-  JakesFaderV2 fader(10.0, rng, static_cast<unsigned>(state.range(0)));
-  double t = 0.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fader.power_gain(t));
-    t += 0.001;
-  }
-}
-BENCHMARK(BM_JakesPowerGain)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_FsmcAdvance(benchmark::State& state) {
   Fsmc fsmc(15.0, 10.0, 8, 0.005, Rng(4));

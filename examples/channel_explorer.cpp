@@ -10,7 +10,7 @@
 
 #include <iostream>
 
-#include "channel/snr_process.hpp"
+#include "channel/downlinks.hpp"
 #include "phy/amc.hpp"
 #include "phy/mcs.hpp"
 #include "stats/table.hpp"
@@ -41,14 +41,16 @@ int main(int argc, char** argv) {
 
   std::cout << "\n— AMC trace: Rayleigh link, mean SNR " << mean_snr
             << " dB, Doppler " << doppler << " Hz —\n\n";
-  Rng rng(42);
-  RayleighSnr link(mean_snr, doppler, 0.0, 0.0, rng);
+  FadingConfig rayleigh;
+  rayleigh.doppler_hz = doppler;
+  Downlinks link(rayleigh);
+  link.add(mean_snr, Rng(42));
   AmcConfig amc_cfg;
   AmcController amc(table, amc_cfg);
   std::cout << strfmt("  %8s %10s %8s %12s\n", "t (ms)", "SNR (dB)", "MCS",
                       "rate kb/s");
   for (double t = 0.0; t <= trace_s; t += trace_s / 30.0) {
-    const double snr = link.snr_db(t);
+    const double snr = link.snr_db(0, t);
     const std::size_t mcs = amc.select_from_snr(snr);
     std::cout << strfmt("  %8.0f %10.1f %8s %12.1f\n", t * 1000.0, snr,
                         table[mcs].name.c_str(), table[mcs].rate_bps / 1000.0);
@@ -63,8 +65,8 @@ int main(int argc, char** argv) {
     FadingConfig fc;
     fc.model = model;
     fc.doppler_hz = doppler;
-    Rng model_rng(7);
-    auto proc = make_snr_process(fc, mean_snr, model_rng);
+    Downlinks proc(fc);
+    proc.add(mean_snr, Rng(7));
     AmcController ctrl(table, amc_cfg);
     Rng coin(8);
     const Bits frame_bits = 1000;
@@ -72,12 +74,12 @@ int main(int argc, char** argv) {
     double delivered_bits = 0.0;
     std::uint64_t frames = 0, lost = 0;
     while (t < 400.0) {
-      const double est = proc->snr_db(std::max(0.0, t - amc_cfg.csi_delay_s));
+      const double est = proc.snr_db(0, std::max(0.0, t - amc_cfg.csi_delay_s));
       const std::size_t mcs = ctrl.select_from_snr(est, frame_bits);
       const double airtime = table.airtime_s(frame_bits, mcs);
       t += airtime;
       ++frames;
-      const double p_ok = table.decode_prob(frame_bits, mcs, proc->snr_db(t));
+      const double p_ok = table.decode_prob(frame_bits, mcs, proc.snr_db(0, t));
       if (coin.bernoulli(p_ok))
         delivered_bits += static_cast<double>(frame_bits);
       else

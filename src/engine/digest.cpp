@@ -73,6 +73,8 @@ std::uint64_t metrics_digest(const Metrics& m) {
   // the model computed, and must not perturb digests between instrumented
   // (-DWDC_PERF_COUNTERS=ON) and stripped builds.
   //   wdc-lint: digest-exclude(kernel)
+  // m.link_pass counts the downlink pass's work under the same gate.
+  //   wdc-lint: digest-exclude(link_pass)
   // The trace-derived fields are excluded for the same reason: digests must
   // be bit-identical between -DWDC_TRACE=ON and OFF builds, traced or not.
   //   wdc-lint: digest-exclude(ir_wait_s, uplink_s, bcast_wait_s, airtime_s)

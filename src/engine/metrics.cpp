@@ -77,6 +77,9 @@ void Metrics::print(std::ostream& os) const {
         "heap peak %llu, %llu slots reused\n",
         ull(kernel.scheduled), ull(kernel.fired), ull(kernel.cancelled),
         ull(kernel.heap_peak), ull(kernel.slots_reused));
+  if (link_pass.links_evaluated > 0)
+    os << strfmt("downlink pass      %llu links evaluated, %llu padded lanes\n",
+                 ull(link_pass.links_evaluated), ull(link_pass.padded_lanes));
 }
 
 }  // namespace wdc

@@ -112,6 +112,9 @@ struct Metrics {
   /// deliberately excluded from metrics_digest() so instrumented and stripped
   /// builds produce identical digests.
   KernelCounters kernel;
+  /// Downlink fan-out pass work (links evaluated, padded fader lanes);
+  /// instrumentation under the same gate, excluded from the digest likewise.
+  LinkPassCounters link_pass;
 
   /// Human-readable dump (examples use it).
   void print(std::ostream& os) const;

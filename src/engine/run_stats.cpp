@@ -46,6 +46,7 @@ void RunStats::merge(const RunStats& other) {
   trace_dropped += other.trace_dropped;
   faults.merge_from(other.faults);
   kernel.merge_from(other.kernel);
+  link_pass.merge_from(other.link_pass);
 }
 
 Metrics finalize_run(const Scenario& scenario, const RunStats& rs) {
@@ -154,6 +155,7 @@ Metrics finalize_run(const Scenario& scenario, const RunStats& rs) {
   m.schedule_misses = rs.faults.schedule_misses;
 
   m.kernel = rs.kernel;
+  m.link_pass = rs.link_pass;
   return m;
 }
 

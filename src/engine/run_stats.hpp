@@ -69,6 +69,7 @@ struct RunStats {
   std::uint64_t trace_dropped = 0;
   FaultStats faults;
   KernelCounters kernel;
+  LinkPassCounters link_pass;
 
   /// Fold another cell's snapshot into this one. Order matters for the
   /// float-valued Summary reductions, so the collector always folds in cell

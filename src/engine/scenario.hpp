@@ -10,7 +10,7 @@
 #include <string>
 
 #include "channel/pathloss.hpp"
-#include "channel/snr_process.hpp"
+#include "channel/downlinks.hpp"
 #include "faults/fault_config.hpp"
 #include "mac/broadcast_mac.hpp"
 #include "mac/uplink.hpp"

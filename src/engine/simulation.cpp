@@ -13,8 +13,10 @@ Simulation::Simulation(Scenario scenario)
     : Simulation(scenario, ClientSpan{0, scenario.num_clients}) {}
 
 Simulation::Simulation(Scenario scenario, ClientSpan span)
-    : scenario_(std::move(scenario)), span_(span),
-      table_(scenario_.make_mcs_table()) {
+    : scenario_(std::move(scenario)),
+      span_(span),
+      table_(scenario_.make_mcs_table()),
+      links_(scenario_.fading) {
   scenario_.validate();
   if (span_.begin > span_.end || span_.end > scenario_.num_clients ||
       span_.size() == 0)
@@ -26,7 +28,8 @@ Simulation::Simulation(Scenario scenario, ClientSpan span)
   Rng db_rng = master.split();
   Rng wl_rng = master.split();
 
-  mac_ = std::make_unique<BroadcastMac>(sim_, table_, scenario_.mac, mac_rng);
+  mac_ = std::make_unique<BroadcastMac>(sim_, table_, scenario_.mac, mac_rng,
+                                        links_);
   uplink_ = std::make_unique<UplinkChannel>(sim_, scenario_.uplink, master.split());
   // The fault layer splits off the master LAST, after every model stream, and
   // a disabled injector draws nothing — so seeds chain identically with faults
@@ -39,7 +42,7 @@ Simulation::Simulation(Scenario scenario, ClientSpan span)
   sink_ = std::make_unique<StatsSink>(scenario_.warmup_s);
   server_ = make_server(scenario_.protocol, sim_, *mac_, *db_, scenario_.proto);
 
-  // Per-client channel processes and sleep models, then the protocol clients
+  // Per-client downlinks and sleep models, then the protocol clients
   // (which register with the MAC in construction order ⇒ ClientId = index).
   // Every loop walks the GLOBAL client range and derives each client's RNG
   // streams at its global index g — out-of-span clients burn exactly the
@@ -57,7 +60,7 @@ Simulation::Simulation(Scenario scenario, ClientSpan span)
     Rng sleep_rng = wl_rng.split();
     if (g < span_.begin || g >= span_.end) continue;
     const std::uint32_t i = g - span_.begin;
-    links_.push_back(make_snr_process(scenario_.fading, mean_snr, link_rng));
+    links_.add(mean_snr, link_rng);
     sleeps_.push_back(std::make_unique<SleepModel>(
         sim_, scenario_.sleep, sleep_rng,
         [this, i](bool awake) { clients_[i]->on_sleep_transition(awake); },
@@ -69,7 +72,7 @@ Simulation::Simulation(Scenario scenario, ClientSpan span)
     const std::uint32_t i = g - span_.begin;
     clients_.push_back(make_client(
         scenario_.protocol, sim_, *mac_, *uplink_, *server_, *db_, scenario_.proto,
-        links_[i].get(), *sink_, client_rng));
+        *sink_, client_rng));
     if (clients_.back()->id() != i)
       throw std::logic_error("Simulation: client registration order violated");
     clients_.back()->set_fault_injector(faults_.get());
@@ -171,6 +174,7 @@ RunStats Simulation::run_stats() const {
   rs.trace_dropped = sim_.trace().dropped();
   rs.faults = faults_->stats();
   rs.kernel = sim_.kernel_counters();
+  rs.link_pass = links_.counters();
   return rs;
 }
 

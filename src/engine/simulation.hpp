@@ -9,7 +9,7 @@
 ///   Simulation sim(sc);
 ///   Metrics m = sim.run();
 ///
-/// A Simulation owns every component (kernel, channel processes, PHY/MAC, server
+/// A Simulation owns every component (kernel, downlinks, PHY/MAC, server
 /// database, protocols, workload generators) wired exactly as DESIGN.md describes.
 /// Accessors expose the internals for white-box tests.
 
@@ -98,13 +98,13 @@ class Simulation {
   ClientSpan span_;
   Simulator sim_;
   McsTable table_;
+  Downlinks links_;
   std::unique_ptr<BroadcastMac> mac_;
   std::unique_ptr<UplinkChannel> uplink_;
   std::unique_ptr<FaultInjector> faults_;
   std::unique_ptr<Database> db_;
   std::unique_ptr<StatsSink> sink_;
   std::unique_ptr<ServerProtocol> server_;
-  std::vector<std::unique_ptr<SnrProcess>> links_;
   std::vector<std::unique_ptr<SleepModel>> sleeps_;
   std::vector<std::unique_ptr<ClientProtocol>> clients_;
   std::vector<std::unique_ptr<QueryGenerator>> queries_;

@@ -20,25 +20,38 @@ const char* to_string(MsgKind k) {
 }
 
 BroadcastMac::BroadcastMac(Simulator& sim, const McsTable& table, MacConfig cfg,
-                           Rng rng)
-    : sim_(sim), table_(table), cfg_(cfg), rng_(rng), bcast_amc_(table, cfg.amc) {
+                           Rng rng, Downlinks& links)
+    : sim_(sim),
+      table_(table),
+      cfg_(cfg),
+      rng_(rng),
+      links_(links),
+      bcast_amc_(table, cfg.amc) {
   if (!(cfg_.broadcast_percentile >= 0.0 && cfg_.broadcast_percentile <= 1.0))
     throw std::invalid_argument("MacConfig: broadcast_percentile in [0,1]");
 }
 
-ClientId BroadcastMac::register_client(SnrProcess* link,
-                                       MacListener* listener) {
-  if (link == nullptr || listener == nullptr)
-    throw std::invalid_argument("BroadcastMac: null link or listener");
-  links_.push_back(link);
+ClientId BroadcastMac::register_client(MacListener* listener) {
+  if (listener == nullptr)
+    throw std::invalid_argument("BroadcastMac: null listener");
+  const std::size_t c = listeners_.size();
+  if (c >= links_.size())
+    throw std::invalid_argument("BroadcastMac: client has no downlink");
   listeners_.push_back(listener);
   amcs_.emplace_back(table_, cfg_.amc);
-  listening_.push_back(0);
-  return static_cast<ClientId>(links_.size() - 1);
+  // Grow the masks a whole bank block at a time; padding bytes stay zero.
+  const std::size_t padded = (c / JakesBank::kLanes + 1) * JakesBank::kLanes;
+  if (listening_.size() < padded) {
+    listening_.resize(padded, 0);
+    registered_.resize(padded, 0);
+    snr_.resize(padded, 0.0);
+  }
+  registered_[c] = 1;
+  return static_cast<ClientId>(c);
 }
 
 void BroadcastMac::enqueue(Message msg) {
-  WDC_ASSERT(msg.is_broadcast() || msg.dest < links_.size(),
+  WDC_ASSERT(msg.is_broadcast() || msg.dest < listeners_.size(),
              "unicast ", to_string(msg.kind), " to unregistered client ", msg.dest);
   const auto k = static_cast<std::size_t>(msg.kind);
   kind_stats_[k].enqueued++;
@@ -52,16 +65,18 @@ std::size_t BroadcastMac::queued(MsgKind kind) const {
   return queues_[static_cast<std::size_t>(kind)].size();
 }
 
-double BroadcastMac::broadcast_reference_snr(SimTime t) const {
+double BroadcastMac::broadcast_reference_snr(SimTime t) {
   // p-th percentile of listening clients' instantaneous SNR. With nobody
   // listening, fall back to the full population so the reference stays defined.
+  const std::vector<std::uint8_t>* mask = &listening_;
+  if (links_.snr_db(listening_, t, snr_.data()) == 0) {
+    mask = &registered_;
+    if (links_.snr_db(registered_, t, snr_.data()) == 0) return 0.0;
+  }
   std::vector<double>& snrs = snr_scratch_;
   snrs.clear();
-  for (std::size_t c = 0; c < links_.size(); ++c)
-    if (listening_[c] != 0) snrs.push_back(links_[c]->snr_db(t));
-  if (snrs.empty())
-    for (SnrProcess* link : links_) snrs.push_back(link->snr_db(t));
-  if (snrs.empty()) return 0.0;
+  for (std::size_t c = 0; c < listeners_.size(); ++c)
+    if ((*mask)[c] != 0) snrs.push_back(snr_[c]);
   // Select order statistic `lo`; statistic `lo + 1` is the least value above.
   const double pos = cfg_.broadcast_percentile * static_cast<double>(snrs.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
@@ -78,12 +93,14 @@ std::size_t BroadcastMac::pick_mcs(const Message& msg) {
   const SimTime when = std::max(0.0, sim_.now() - cfg_.amc.csi_delay_s);
   if (msg.is_broadcast())
     return bcast_amc_.select_from_snr(broadcast_reference_snr(when), msg.bits);
-  return amcs_.at(msg.dest).select_from_snr(links_[msg.dest]->snr_db(when),
+  return amcs_.at(msg.dest).select_from_snr(links_.snr_db(msg.dest, when),
                                             msg.bits);
 }
 
 void BroadcastMac::try_start() {
   if (current_.has_value()) return;
+  WDC_ASSERT(!delivering_,
+             "a transmission would start while a frame is being delivered");
   for (auto& queue : queues_) {
     if (queue.empty()) continue;
     Queued q = std::move(queue.front());
@@ -129,12 +146,16 @@ void BroadcastMac::finish() {
 
   // Offer the completed transmission to every listening client with an
   // independent decode draw (broadcast medium: everyone overhears everything).
+  // One pass computes every listener's SNR first; a delivery only ever
+  // changes its own client's listening byte, so the serial loop below visits
+  // exactly the clients the pass evaluated.
   bool dest_decoded = false;
   const SimTime t = sim_.now();
-  for (std::size_t c = 0; c < links_.size(); ++c) {
+  links_.snr_db(listening_, t, snr_.data());
+  delivering_ = true;
+  for (std::size_t c = 0; c < listeners_.size(); ++c) {
     if (listening_[c] == 0) continue;
-    const double snr = links_[c]->snr_db(t);
-    const double p_ok = table_.decode_prob(fl.q.msg.bits, fl.mcs, snr);
+    const double p_ok = table_.decode_prob(fl.q.msg.bits, fl.mcs, snr_[c]);
     const bool decoded = rng_.bernoulli(p_ok);
     // Fault erasure applies AFTER the (unconditional) decode draw: an erased
     // reception looks exactly like a PHY decode failure downstream, and a
@@ -154,11 +175,12 @@ void BroadcastMac::finish() {
     const Reception rx{fl.q.msg, ok, fl.airtime_s, fl.mcs};
     listeners_[c]->on_reception(rx);
   }
+  delivering_ = false;
 
   // Unicast ARQ: retry failed frames at the head of their class.
   if (!fl.q.msg.is_broadcast() && !dest_decoded) {
     const bool dest_listening =
-        fl.q.msg.dest < links_.size() && listening_[fl.q.msg.dest] != 0;
+        fl.q.msg.dest < listeners_.size() && listening_[fl.q.msg.dest] != 0;
     if (dest_listening && fl.q.attempts + 1 < cfg_.max_retx) {
       fl.q.attempts++;
       queues_[k].push_front(std::move(fl.q));
@@ -209,7 +231,7 @@ void BroadcastMac::audit() const {
             current_.has_value());
   if (current_.has_value())
     WDC_CHECK(current_->q.msg.is_broadcast() ||
-                  current_->q.msg.dest < links_.size(),
+                  current_->q.msg.dest < listeners_.size(),
               "in-flight unicast frame to unregistered client ",
               current_->q.msg.dest);
 #endif

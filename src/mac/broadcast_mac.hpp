@@ -12,7 +12,9 @@
 /// * Reception: each completed transmission is offered to every listening client
 ///   with an independent decode draw from the client's own SNR — a deep-faded
 ///   client can miss an IR, which is exactly the failure mode stateless
-///   invalidation schemes are fragile to.
+///   invalidation schemes are fragile to. Every listener's SNR comes from one
+///   masked Downlinks pass per frame (and per broadcast MCS pick); the decode
+///   draws and deliveries then run serially in client order.
 /// * Unicast ARQ: failed unicast frames retry (head-of-class) up to max_retx.
 
 #include <array>
@@ -22,7 +24,7 @@
 #include <optional>
 #include <vector>
 
-#include "channel/snr_process.hpp"
+#include "channel/downlinks.hpp"
 #include "mac/message.hpp"
 #include "phy/amc.hpp"
 #include "phy/mcs.hpp"
@@ -77,15 +79,18 @@ struct MacKindStats {
 
 class BroadcastMac {
  public:
-  BroadcastMac(Simulator& sim, const McsTable& table, MacConfig cfg, Rng rng);
+  /// `links` holds client c's downlink at index c; the caller owns it and
+  /// it must outlive the MAC.
+  BroadcastMac(Simulator& sim, const McsTable& table, MacConfig cfg, Rng rng,
+               Downlinks& links);
 
   BroadcastMac(const BroadcastMac&) = delete;
   BroadcastMac& operator=(const BroadcastMac&) = delete;
 
-  /// Register a client; returns its id (dense, in registration order). `link`
-  /// is its downlink SNR process; both it and `listener` are owned by the
-  /// caller and must outlive the MAC. A new client is not listening.
-  ClientId register_client(SnrProcess* link, MacListener* listener);
+  /// Register a client; returns its id (dense, in registration order), which
+  /// must already have a link in the MAC's Downlinks. `listener` is owned by
+  /// the caller and must outlive the MAC. A new client is not listening.
+  ClientId register_client(MacListener* listener);
 
   /// The client's owner pushes every change of its radio state here; the MAC
   /// reads the bit on every fan-out, ARQ retry decision and broadcast MCS pick.
@@ -114,7 +119,7 @@ class BroadcastMac {
   /// Coverage-reference SNR the broadcast link adaptation would use at time `t`
   /// (the percentile over listening clients). Exposed so LAIR can peek at the
   /// channel before committing a report to the queue.
-  double broadcast_reference_snr(SimTime t) const;
+  double broadcast_reference_snr(SimTime t);
 
   const MacKindStats& stats(MsgKind kind) const;
   /// Fraction of time the transmitter was busy, measured up to `t`.
@@ -160,13 +165,22 @@ class BroadcastMac {
   std::optional<InFlight> current_;
 
   // Registered clients, indexed by ClientId.
-  std::vector<SnrProcess*> links_;
+  Downlinks& links_;
   std::vector<MacListener*> listeners_;
   std::vector<AmcController> amcs_;  ///< per-destination hysteresis for unicast
+  /// Listening bytes, zero-padded to whole bank blocks: the fan-out mask.
   std::vector<std::uint8_t> listening_;
+  /// Every registered client (same padding): the reference SNR's fallback
+  /// mask when nobody listens.
+  std::vector<std::uint8_t> registered_;
   AmcController bcast_amc_;
-  /// broadcast_reference_snr's reusable selection buffer.
-  mutable std::vector<double> snr_scratch_;
+  /// Per-client SNRs of the latest pass, and broadcast_reference_snr's
+  /// selection buffer.
+  std::vector<double> snr_;
+  std::vector<double> snr_scratch_;
+  /// Set while finish() delivers a frame: nothing may start a transmission
+  /// then, because the frame's SNRs were computed before delivery began.
+  bool delivering_ = false;
 
   /// Sentinel for "no broadcast transmitted yet" (MCS-switch trace events
   /// compare against the previous broadcast MCS).

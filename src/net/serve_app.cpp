@@ -31,8 +31,7 @@ constexpr int kListenBacklog = 4096;
 
 ServeApp::ServeApp(ServeConfig cfg)
     : cfg_(std::move(cfg)),
-      mcs_table_(cfg_.scenario.make_mcs_table()),
-      link_snr_(cfg_.link_snr_db) {}
+      mcs_table_(cfg_.scenario.make_mcs_table()) {}
 
 ServeApp::~ServeApp() {
   if (tracing_) trace_writer_.close();
@@ -78,7 +77,8 @@ bool ServeApp::start(std::string* error) {
   (void)chan_rng;
 
   sim_ = std::make_unique<Simulator>();
-  mac_ = std::make_unique<BroadcastMac>(*sim_, mcs_table_, sc.mac, mac_rng);
+  mac_ = std::make_unique<BroadcastMac>(*sim_, mcs_table_, sc.mac, mac_rng,
+                                        links_);
   db_ = std::make_unique<Database>(*sim_, sc.db, db_rng);
   server_ = make_server(sc.protocol, *sim_, *mac_, *db_, sc.proto);
 
@@ -138,7 +138,8 @@ bool ServeApp::start(std::string* error) {
 ClientId ServeApp::register_slot() {
   const auto id = static_cast<ClientId>(slots_.size());
   slots_.emplace_back(this, id);
-  const ClientId got = mac_->register_client(&link_snr_, &slots_.back());
+  links_.add(cfg_.link_snr_db, Rng(0));  // a fixed link draws nothing
+  const ClientId got = mac_->register_client(&slots_.back());
   WDC_CHECK(got == id, "MAC port ids must stay dense");
   return id;
 }

@@ -36,7 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "channel/snr_process.hpp"
+#include "channel/downlinks.hpp"
 #include "engine/scenario.hpp"
 #include "mac/broadcast_mac.hpp"
 #include "net/connection.hpp"
@@ -183,10 +183,11 @@ class ServeApp {
   std::unique_ptr<Simulator> sim_;
   std::unique_ptr<Database> db_;
   McsTable mcs_table_;
+  /// One fixed cfg_.link_snr_db link per MAC port.
+  Downlinks links_{FadingConfig{.model = FadingModel::kNone}};
   std::unique_ptr<BroadcastMac> mac_;
   std::unique_ptr<ServerProtocol> server_;
   std::unique_ptr<TrafficGenerator> traffic_;
-  FixedSnr link_snr_{30.0};
 
   // --- sockets ---
   EventLoop loop_;

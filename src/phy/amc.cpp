@@ -10,11 +10,6 @@ AmcController::AmcController(const McsTable& table, AmcConfig cfg)
   last_ = cfg_.adaptive ? 0 : cfg_.fixed_mcs;
 }
 
-std::size_t AmcController::select(SnrProcess& link, SimTime t, Bits bits) {
-  const SimTime when = std::max(0.0, t - cfg_.csi_delay_s);
-  return select_from_snr(link.snr_db(when), bits);
-}
-
 std::size_t AmcController::select_from_snr(double snr_db, Bits bits) {
   if (!cfg_.adaptive) {
     last_ = cfg_.fixed_mcs;

@@ -13,7 +13,6 @@
 
 #include <cstddef>
 
-#include "channel/snr_process.hpp"
 #include "phy/mcs.hpp"
 
 namespace wdc {
@@ -31,13 +30,10 @@ class AmcController {
  public:
   AmcController(const McsTable& table, AmcConfig cfg);
 
-  /// MCS index to use for a transmission of `bits` starting at time `t`, based on
-  /// the (possibly stale) SNR of `link`. `bits` = 0 means a single radio block.
-  std::size_t select(SnrProcess& link, SimTime t, Bits bits = 0);
-
-  /// MCS choice from a raw SNR figure (no delay modelling) — used by the server's
-  /// broadcast reference logic and by tests. The selection targets whole-message
-  /// delivery at the configured BLER for a message of `bits` (0 ⇒ one block).
+  /// MCS choice from an SNR figure. The caller applies the CSI delay: the MAC
+  /// passes the SNR as of `csi_delay_s` before the transmission starts. The
+  /// selection targets whole-message delivery at the configured BLER for a
+  /// message of `bits` (0 ⇒ one block).
   std::size_t select_from_snr(double snr_db, Bits bits = 0);
 
   const McsTable& table() const { return table_; }

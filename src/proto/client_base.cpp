@@ -20,7 +20,7 @@ constexpr SimTime kEps = 1e-9;
 ClientProtocol::ClientProtocol(Simulator& sim, BroadcastMac& mac,
                                UplinkChannel& uplink, ServerProtocol& server,
                                const Database& oracle, ProtoConfig cfg,
-                               SnrProcess* link, StatsSink& sink, Rng rng)
+                               StatsSink& sink, Rng rng)
     : cache_(cfg.cache_capacity),
       rng_(rng),
       sink_(sink),
@@ -34,7 +34,7 @@ ClientProtocol::ClientProtocol(Simulator& sim, BroadcastMac& mac,
   // small block between each client's larger ones, so glibc does not trim and
   // re-fault the heap when simulations are built back to back.
   request_timers_.reserve(2);
-  id_ = mac_.register_client(link, this);
+  id_ = mac_.register_client(this);
   note_radio_state();
 }
 

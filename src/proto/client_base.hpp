@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "cache/lru_cache.hpp"
-#include "channel/snr_process.hpp"
 #include "mac/broadcast_mac.hpp"
 #include "mac/uplink.hpp"
 #include "proto/protocol.hpp"
@@ -56,7 +55,7 @@ class ClientProtocol : private MacListener {
   /// exclusively for staleness verification (never for protocol decisions).
   ClientProtocol(Simulator& sim, BroadcastMac& mac, UplinkChannel& uplink,
                  ServerProtocol& server, const Database& oracle, ProtoConfig cfg,
-                 SnrProcess* link, StatsSink& sink, Rng rng);
+                 StatsSink& sink, Rng rng);
   virtual ~ClientProtocol() = default;
 
   ClientProtocol(const ClientProtocol&) = delete;

@@ -39,12 +39,12 @@ std::unique_ptr<ClientProtocol> make_client(ProtocolKind kind, Simulator& sim,
                                             BroadcastMac& mac, UplinkChannel& uplink,
                                             ServerProtocol& server,
                                             const Database& oracle,
-                                            const ProtoConfig& cfg, SnrProcess* link,
+                                            const ProtoConfig& cfg,
                                             StatsSink& sink, Rng rng) {
   // One constructor call, instantiated per client type.
   const auto make = [&](auto type) -> std::unique_ptr<ClientProtocol> {
     return std::make_unique<typename decltype(type)::type>(
-        sim, mac, uplink, server, oracle, cfg, link, sink, rng);
+        sim, mac, uplink, server, oracle, cfg, sink, rng);
   };
   switch (kind) {
     case ProtocolKind::kTs: return make(std::type_identity<ClientTs>{});

@@ -20,7 +20,7 @@ std::unique_ptr<ClientProtocol> make_client(ProtocolKind kind, Simulator& sim,
                                             BroadcastMac& mac, UplinkChannel& uplink,
                                             ServerProtocol& server,
                                             const Database& oracle,
-                                            const ProtoConfig& cfg, SnrProcess* link,
+                                            const ProtoConfig& cfg,
                                             StatsSink& sink, Rng rng);
 
 }  // namespace wdc

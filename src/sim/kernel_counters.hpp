@@ -13,6 +13,10 @@
 /// object is empty. Counters are instrumentation only — they are surfaced in
 /// Metrics and wdc_bench json= output but deliberately EXCLUDED from
 /// metrics_digest, so instrumented and stripped builds stay digest-identical.
+///
+/// LinkPassCounters, under the same gate, count the work of the downlink
+/// fan-out pass (channel/downlinks.hpp): the links whose SNR it produced and
+/// the padded bank lanes it computed only to discard.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,7 +53,29 @@ struct KernelCounters {
   }
 };
 
+struct LinkPassCounters {
+  std::uint64_t links_evaluated = 0;  ///< SNRs produced by masked passes
+  std::uint64_t padded_lanes = 0;     ///< fader lanes computed and discarded
+
+  void merge_from(const LinkPassCounters& other) {
+    links_evaluated += other.links_evaluated;
+    padded_lanes += other.padded_lanes;
+  }
+};
+
 #if WDC_PERF_COUNTERS_ENABLED
+
+class LinkPassCounterHook {
+ public:
+  void pass(std::size_t evaluated, std::size_t padded) {
+    c_.links_evaluated += evaluated;
+    c_.padded_lanes += padded;
+  }
+  LinkPassCounters snapshot() const { return c_; }
+
+ private:
+  LinkPassCounters c_;
+};
 
 class KernelCounterHook {
  public:
@@ -71,6 +97,12 @@ class KernelCounterHook {
 #else
 
 /// Stripped build: every hook call compiles to nothing.
+class LinkPassCounterHook {
+ public:
+  void pass(std::size_t, std::size_t) {}
+  LinkPassCounters snapshot() const { return {}; }
+};
+
 class KernelCounterHook {
  public:
   void schedule(EventPriority, std::size_t) {}

@@ -1,5 +1,6 @@
 #include "util/config.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
@@ -51,6 +52,7 @@ bool Config::has(std::string_view key) const {
 }
 
 std::optional<std::string> Config::raw(std::string_view key) const {
+  if (asked_.find(key) == asked_.end()) asked_.emplace(key);
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   used_.insert(it->first);
@@ -100,12 +102,44 @@ std::vector<std::string> Config::unused_keys() const {
   return out;
 }
 
+namespace {
+
+/// Levenshtein distance between two keys.
+std::size_t edit_distance(std::string_view a, std::string_view b) {
+  std::vector<std::size_t> row(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    std::size_t diag = row[0];
+    row[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t sub = diag + (a[i - 1] == b[j - 1] ? 0 : 1);
+      diag = row[j];
+      row[j] = std::min({row[j] + 1, row[j - 1] + 1, sub});
+    }
+  }
+  return row[b.size()];
+}
+
+}  // namespace
+
 void Config::require_all_used() const {
   const auto unused = unused_keys();
   if (unused.empty()) return;
+  constexpr std::size_t kMaxSuggestDistance = 2;
   std::string msg = "Config: unknown key(s)";
-  for (std::size_t i = 0; i < unused.size(); ++i)
+  for (std::size_t i = 0; i < unused.size(); ++i) {
     msg += (i == 0 ? " '" : ", '") + unused[i] + "'";
+    const std::string* nearest = nullptr;
+    std::size_t best = kMaxSuggestDistance + 1;
+    for (const std::string& known : asked_) {
+      const std::size_t d = edit_distance(unused[i], known);
+      if (d < best) {
+        best = d;
+        nearest = &known;
+      }
+    }
+    if (nearest != nullptr) msg += " (did you mean '" + *nearest + "'?)";
+  }
   throw std::runtime_error(msg);
 }
 

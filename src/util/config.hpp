@@ -46,7 +46,9 @@ class Config {
 
   /// Throw std::runtime_error naming every unused key, if there is any. CLIs
   /// call it after their last getter, so a typo or a retired key fails the
-  /// run instead of silently running the defaults.
+  /// run instead of silently running the defaults. An unused key within edit
+  /// distance 2 of a key some getter asked for is followed by
+  /// `(did you mean '<key>'?)`.
   void require_all_used() const;
 
   /// All key/value pairs, sorted by key (for echoing the effective config).
@@ -57,6 +59,8 @@ class Config {
 
   std::map<std::string, std::string, std::less<>> values_;
   mutable std::set<std::string, std::less<>> used_;
+  /// Every key a getter asked for, present or not: the known keys.
+  mutable std::set<std::string, std::less<>> asked_;
 };
 
 }  // namespace wdc

@@ -4,7 +4,7 @@
 
 #include "analysis/fading_theory.hpp"
 #include "analysis/ir_theory.hpp"
-#include "channel/jakes_v2.hpp"
+#include "channel/jakes_bank.hpp"
 #include "engine/simulation.hpp"
 
 /// Cross-validation: the simulator must reproduce the closed-form results where
@@ -101,13 +101,14 @@ TEST(SimVsTheory, TsReportBitsMatchExpectation) {
 
 TEST(SimVsTheory, JakesOutageMatchesRayleigh) {
   Rng rng(5);
-  JakesFaderV2 fader(8.0, rng, 32);
+  JakesBank fader(8.0, 32);
+  fader.add(rng);
   const double mean_db = 0.0;  // unit-mean fader ⇒ SNR == gain
   for (const double thr_db : {-10.0, -3.0, 0.0}) {
     int below = 0;
     const int n = 40000;
     for (int i = 0; i < n; ++i)
-      if (fader.power_gain_db(i * 0.083) < thr_db) ++below;
+      if (gain_db(fader.power_gain(0, i * 0.083)) < thr_db) ++below;
     const double theory = analysis::rayleigh_outage_prob(thr_db, mean_db);
     EXPECT_NEAR(below / static_cast<double>(n), theory, 0.15 * theory + 0.01)
         << "thr=" << thr_db;
@@ -119,7 +120,8 @@ TEST(SimVsTheory, JakesFadeDurationMatchesAfd) {
   // the closed-form AFD.
   Rng rng(6);
   const double fd = 4.0;
-  JakesFaderV2 fader(fd, rng, 32);
+  JakesBank fader(fd, 32);
+  fader.add(rng);
   const double thr_db = -5.0;
   const double dt = 0.001;
   bool below = false;
@@ -127,7 +129,7 @@ TEST(SimVsTheory, JakesFadeDurationMatchesAfd) {
   double total = 0.0;
   int fades = 0;
   for (int i = 0; i < 2000000; ++i) {
-    const bool b = fader.power_gain_db(i * dt) < thr_db;
+    const bool b = gain_db(fader.power_gain(0, i * dt)) < thr_db;
     if (b) {
       run += dt;
     } else if (below) {

@@ -1,9 +1,10 @@
 /// @file channel_equiv_test.cpp
-/// The `-L channel` statistical-equivalence tier: proof that the jakes_v2
-/// pinned-polynomial fader is the same *random process* as the libm-cos
-/// oracle (JakesFader, tests/channel/jakes_oracle.hpp), plus the bit-level
-/// contracts (replay stability, thread-count invariance) the engine's
-/// determinism story leans on.
+/// The `-L channel` statistical-equivalence tier: proof that the production
+/// fader bank (JakesBank, one link at a time through OneLink) is the same
+/// *random process* as the libm-cos oracle (JakesFader,
+/// tests/channel/jakes_oracle.hpp), plus the bit-level contracts (replay
+/// stability, thread-count invariance) the engine's determinism story leans
+/// on.
 ///
 /// Two kinds of evidence, deliberately separated:
 ///
@@ -22,15 +23,17 @@
 ///     Rayleigh, so bands are set at 15% (2-3× the observed spread).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "analysis/fading_theory.hpp"
+#include "channel/downlinks.hpp"
 #include "channel/fastcos.hpp"
-#include "channel/jakes_v2.hpp"
-#include "channel/snr_process.hpp"
+#include "channel/jakes_bank.hpp"
 #include "jakes_oracle.hpp"
 #include "util/rng.hpp"
 
@@ -98,14 +101,14 @@ TEST(ChannelEquiv, SameSeedDrawsIdenticalRandomness) {
   // compared.
   Rng r1(77), r2(77);
   JakesFader v1(12.0, r1, 16);
-  JakesFaderV2 v2(12.0, r2, 16);
+  OneLink<JakesBank> v2(12.0, r2, 16);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(r1.next(), r2.next());
 }
 
 TEST(ChannelEquiv, SameSeedPowerGainWithin1em9) {
   Rng r1(101), r2(101);
   JakesFader v1(15.0, r1, 16);
-  JakesFaderV2 v2(15.0, r2, 16);
+  OneLink<JakesBank> v2(15.0, r2, 16);
   double worst = 0.0;
   for (int i = 0; i < 20000; ++i) {
     const double t = static_cast<double>(i) * 0.0103;
@@ -126,7 +129,7 @@ TEST(ChannelEquiv, SameSeedSecondOrderEventsAgree) {
   const int n = 200000;  // 100 s
   Rng r1(303), r2(303);
   JakesFader v1(fd, r1, 16);
-  JakesFaderV2 v2(fd, r2, 16);
+  OneLink<JakesBank> v2(fd, r2, 16);
   int cross1 = 0, cross2 = 0, below1 = 0, below2 = 0;
   bool was1 = v1.power_gain(0.0) < thr, was2 = v2.power_gain(0.0) < thr;
   for (int i = 1; i < n; ++i) {
@@ -152,7 +155,7 @@ TEST(ChannelEquiv, SameSeedSecondOrderEventsAgree) {
 template <typename Fader>
 std::pair<double, double> power_moments(std::uint64_t seed, int n) {
   Rng rng(seed);
-  Fader f(10.0, rng, 16);
+  const OneLink<Fader> f(10.0, rng, 16);
   double s1 = 0.0, s2 = 0.0;
   for (int i = 0; i < n; ++i) {
     const double g = f.power_gain(static_cast<double>(i) * 0.037);
@@ -168,14 +171,14 @@ TEST(ChannelEquiv, PowerMomentsMatchRayleighBothVersions) {
   // and ~±6% respectively at n = 50k; see ANALYSIS.md).
   const int n = 50000;
   const auto [m1_v1, m2_v1] = power_moments<JakesFader>(404, n);
-  const auto [m1_v2, m2_v2] = power_moments<JakesFaderV2>(505, n);
+  const auto [m1_v2, m2_v2] = power_moments<JakesBank>(505, n);
   EXPECT_NEAR(m1_v1, 1.0, 0.05);
   EXPECT_NEAR(m1_v2, 1.0, 0.05);
   EXPECT_NEAR(m2_v1, 2.0, 0.24);
   EXPECT_NEAR(m2_v2, 2.0, 0.24);
   // And same-seed, the two estimators must agree to kernel precision.
   const auto [m1a, m2a] = power_moments<JakesFader>(606, n);
-  const auto [m1b, m2b] = power_moments<JakesFaderV2>(606, n);
+  const auto [m1b, m2b] = power_moments<JakesBank>(606, n);
   EXPECT_NEAR(m1a, m1b, 1e-9);
   EXPECT_NEAR(m2a, m2b, 1e-9);
 }
@@ -185,7 +188,7 @@ template <typename Fader>
 std::vector<double> power_autocorr(std::uint64_t seed, double fd, double dt,
                                    int n, const std::vector<int>& lags) {
   Rng rng(seed);
-  Fader f(fd, rng, 16);
+  const OneLink<Fader> f(fd, rng, 16);
   std::vector<double> g(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     g[static_cast<std::size_t>(i)] = f.power_gain(static_cast<double>(i) * dt);
@@ -216,7 +219,7 @@ TEST(ChannelEquiv, AutocorrTracksBesselSquaredBothVersions) {
   const int n = 100000;
   const std::vector<int> lags = {5, 10, 20};  // τ = 5, 10, 20 ms
   const auto c1 = power_autocorr<JakesFader>(707, fd, dt, n, lags);
-  const auto c2 = power_autocorr<JakesFaderV2>(808, fd, dt, n, lags);
+  const auto c2 = power_autocorr<JakesBank>(808, fd, dt, n, lags);
   for (std::size_t j = 0; j < lags.size(); ++j) {
     const double theory = analysis::jakes_power_autocorr(
         fd, static_cast<double>(lags[j]) * dt);
@@ -225,7 +228,7 @@ TEST(ChannelEquiv, AutocorrTracksBesselSquaredBothVersions) {
   }
   // Same-seed, the estimators agree to kernel precision.
   const auto a = power_autocorr<JakesFader>(909, fd, dt, n / 4, lags);
-  const auto b = power_autocorr<JakesFaderV2>(909, fd, dt, n / 4, lags);
+  const auto b = power_autocorr<JakesBank>(909, fd, dt, n / 4, lags);
   for (std::size_t j = 0; j < lags.size(); ++j)
     EXPECT_NEAR(a[j], b[j], 1e-6) << "lag " << lags[j];
 }
@@ -252,7 +255,7 @@ TEST(Theory, BesselJ0MatchesTabulatedValues) {
 template <typename Fader>
 class ChannelBitStability : public ::testing::Test {};
 
-using BothVersions = ::testing::Types<JakesFader, JakesFaderV2>;
+using BothVersions = ::testing::Types<JakesFader, JakesBank>;
 TYPED_TEST_SUITE(ChannelBitStability, BothVersions);
 
 TYPED_TEST(ChannelBitStability, RepeatedEvaluationIsBitStable) {
@@ -261,7 +264,7 @@ TYPED_TEST(ChannelBitStability, RepeatedEvaluationIsBitStable) {
   // what lets the engine query the fader at arbitrary event times without a
   // state advance, and what replay/shadow runs rely on.
   Rng rng(1234);
-  TypeParam f(17.0, rng, 16);
+  OneLink<TypeParam> f(17.0, rng, 16);
   const int n = 2000;
   std::vector<double> forward(n), backward(n), interleaved(n);
   for (int i = 0; i < n; ++i)
@@ -288,7 +291,7 @@ TYPED_TEST(ChannelBitStability, ThreadCountDoesNotChangeResults) {
   // the kernel's result depends only on its argument bits. Run under TSan
   // in CI, this also proves data-race freedom of concurrent power_gain.
   Rng rng(4321);
-  const TypeParam f(9.0, rng, 16);
+  const OneLink<TypeParam> f(9.0, rng, 16);
   const int n = 8000;
   std::vector<double> ref(n);
   for (int i = 0; i < n; ++i)
@@ -315,22 +318,35 @@ TYPED_TEST(ChannelBitStability, ThreadCountDoesNotChangeResults) {
 // ---------------------------------------------------------------------------
 // The full SNR stack against the oracle.
 
-TEST(ChannelEquiv, MakeSnrProcessMatchesLibmOracle) {
-  // make_snr_process (rayleigh, shadowing off) must be mean + the fader's dB
-  // gain, with the fader's phases drawn first from the link stream: an
-  // identically seeded oracle then tracks it to kernel precision. This pins
-  // the draw order and the whole SNR stack against libm.
+TEST(ChannelEquiv, DownlinksMatchLibmOracle) {
+  // A Rayleigh link set (shadowing off) must be mean + the fader's dB gain,
+  // with each link's phases drawn first from its own stream: identically
+  // seeded oracles then track it to kernel precision, through the masked
+  // pass and the one-link query alike. This pins the draw order and the
+  // whole SNR stack against libm.
   FadingConfig cfg;  // rayleigh, defaults
   cfg.shadow_sigma_db = 0.0;
   const double mean_db = 10.0;
-  Rng r_proc(99), r_oracle(99);
-  const auto proc = make_snr_process(cfg, mean_db, r_proc);
-  const JakesFader oracle(cfg.doppler_hz, r_oracle, 16);
+  Downlinks links(cfg);
+  std::vector<JakesFader> oracles;
+  Rng chain_links(99), chain_oracle(99);
+  for (int c = 0; c < 11; ++c) {
+    links.add(mean_db, chain_links.split());
+    Rng r = chain_oracle.split();
+    oracles.emplace_back(cfg.doppler_hz, r, 16);
+  }
+  std::vector<std::uint8_t> all(links.padded_size(), 0);
+  std::fill_n(all.begin(), links.size(), std::uint8_t{1});
+  std::vector<double> out(links.padded_size());
   double worst = 0.0;
   for (int i = 0; i < 2000; ++i) {
     const double t = static_cast<double>(i) * 0.0137;
-    worst = std::max(worst, std::fabs(proc->snr_db(t) -
-                                      (mean_db + oracle.power_gain_db(t))));
+    links.snr_db(all, t, out.data());
+    for (std::size_t c = 0; c < oracles.size(); ++c) {
+      const double want = mean_db + oracles[c].power_gain_db(t);
+      worst = std::max(worst, std::fabs(out[c] - want));
+      worst = std::max(worst, std::fabs(links.snr_db(c, t) - want));
+    }
   }
   EXPECT_LT(worst, 1e-6);  // measured ≤ ~5.5e-9 dB
 }

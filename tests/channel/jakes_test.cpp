@@ -1,11 +1,11 @@
 /// The Jakes fader suites: the libm oracle's own properties (JakesFader), the
-/// production fader's parameter checks, and second-order statistics for both.
+/// production bank's parameter checks, and second-order statistics for both.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "analysis/fading_theory.hpp"
-#include "channel/jakes_v2.hpp"
+#include "channel/jakes_bank.hpp"
 #include "jakes_oracle.hpp"
 #include "util/rng.hpp"
 
@@ -20,10 +20,10 @@ TEST(Jakes, RejectsBadParams) {
 }
 
 TEST(Jakes, V2RejectsOversizedEnsemble) {
-  Rng rng(7);
-  EXPECT_THROW(JakesFaderV2(10.0, rng, 65), std::invalid_argument);
-  EXPECT_THROW(JakesFaderV2(10.0, rng, 2), std::invalid_argument);
-  EXPECT_NO_THROW(JakesFaderV2(10.0, rng, 64));
+  EXPECT_THROW(JakesBank(10.0, 65), std::invalid_argument);
+  EXPECT_THROW(JakesBank(10.0, 2), std::invalid_argument);
+  EXPECT_THROW(JakesBank(0.0), std::invalid_argument);
+  EXPECT_NO_THROW(JakesBank(10.0, 64));
 }
 
 TEST(Jakes, UnitMeanPower) {
@@ -106,7 +106,7 @@ TEST(Jakes, DbConversion) {
 }
 
 // ---------------------------------------------------------------------------
-// Second-order statistics vs Rayleigh theory, for the production fader and
+// Second-order statistics vs Rayleigh theory, for the production bank and
 // its libm oracle. Level-crossing rate and average fade duration are the
 // statistics link adaptation actually exploits (how often the channel dips,
 // and for how long), so both must reproduce them — not just the amplitude
@@ -126,7 +126,7 @@ SecondOrderStats<Fader> measure_second_order(std::uint64_t seed, double fd,
                                              double rho, double dur_s,
                                              double dt) {
   Rng rng(seed);
-  Fader f(fd, rng, 16);
+  const OneLink<Fader> f(fd, rng, 16);
   const double thr = rho * rho;
   const auto n = static_cast<std::size_t>(dur_s / dt);
   std::size_t crossings = 0, below = 0;
@@ -148,7 +148,7 @@ SecondOrderStats<Fader> measure_second_order(std::uint64_t seed, double fd,
 template <typename Fader>
 class JakesSecondOrder : public ::testing::Test {};
 
-using FaderGenerations = ::testing::Types<JakesFader, JakesFaderV2>;
+using FaderGenerations = ::testing::Types<JakesFader, JakesBank>;
 TYPED_TEST_SUITE(JakesSecondOrder, FaderGenerations);
 
 TYPED_TEST(JakesSecondOrder, LevelCrossingRateMatchesRayleighTheory) {

@@ -105,5 +105,20 @@ TEST(Simulation, MetricsPrintProducesOutput) {
   EXPECT_NE(os.str().find("latency"), std::string::npos);
 }
 
+TEST(Simulation, LinkPassCountersArePinned) {
+  // The downlink pass's work at the small scenario: 10 clients fill one
+  // bank block and two lanes of a second, so any frame with a listener in
+  // the second block computes its 6 padding lanes. Exact counts catch an
+  // algorithmic change in the fan-out (say, a skipped-block regression)
+  // that wall time on a noisy host would hide.
+  if (!WDC_PERF_COUNTERS_ENABLED) GTEST_SKIP() << "perf counters compiled out";
+  const Metrics m = run_scenario(small());
+  EXPECT_EQ(m.link_pass.links_evaluated, 51740u);
+  EXPECT_EQ(m.link_pass.padded_lanes, 31044u);
+  std::ostringstream os;
+  m.print(os);
+  EXPECT_NE(os.str().find("downlink pass"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace wdc

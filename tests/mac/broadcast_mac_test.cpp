@@ -22,12 +22,18 @@ class MacTest : public ::testing::Test {
 
   MacTest() : table_(McsTable::simple3()) {}
 
-  void build(MacConfig cfg, std::vector<double> snrs) {
-    mac_ = std::make_unique<BroadcastMac>(sim_, table_, cfg, Rng(9));
+  void build(MacConfig cfg, std::vector<double> snrs,
+             FadingModel fading = FadingModel::kNone) {
+    mac_.reset();
+    FadingConfig fc;
+    fc.model = fading;
+    fc.doppler_hz = 50.0;
+    links_ = std::make_unique<Downlinks>(fc);
+    for (std::size_t i = 0; i < snrs.size(); ++i) links_->add(snrs[i], Rng(i));
+    mac_ = std::make_unique<BroadcastMac>(sim_, table_, cfg, Rng(9), *links_);
     recs_.resize(snrs.size());
     for (std::size_t i = 0; i < snrs.size(); ++i) {
-      links_.push_back(std::make_unique<FixedSnr>(snrs[i]));
-      const ClientId id = mac_->register_client(links_.back().get(), &recs_[i]);
+      const ClientId id = mac_->register_client(&recs_[i]);
       mac_->set_listening(id, true);
     }
   }
@@ -41,17 +47,16 @@ class MacTest : public ::testing::Test {
 
   Simulator sim_;
   McsTable table_;
+  std::unique_ptr<Downlinks> links_;
   std::unique_ptr<BroadcastMac> mac_;
-  std::vector<std::unique_ptr<FixedSnr>> links_;
   std::vector<ClientRec> recs_;
 };
 
 TEST_F(MacTest, RejectsIncompletePort) {
   build({}, {20.0});
-  EXPECT_THROW(mac_->register_client(nullptr, &recs_[0]),
-               std::invalid_argument);
-  EXPECT_THROW(mac_->register_client(links_[0].get(), nullptr),
-               std::invalid_argument);
+  EXPECT_THROW(mac_->register_client(nullptr), std::invalid_argument);
+  ClientRec no_downlink;  // the link set holds one link, already taken
+  EXPECT_THROW(mac_->register_client(&no_downlink), std::invalid_argument);
 }
 
 TEST_F(MacTest, BroadcastReachesAllListeners) {
@@ -150,6 +155,41 @@ TEST_F(MacTest, LinkAdaptationUsesDestinationSnr) {
   EXPECT_GT(weak_airtime, 2.0 * strong_airtime);
 }
 
+TEST_F(MacTest, UnicastPickUsesDelayedCsi) {
+  // A fast-fading destination (f_d = 50 Hz) decorrelates in far less than
+  // the 50 ms CSI delay: every unicast pick must follow the SNR as of
+  // start − csi_delay, and some picks must differ from the current SNR's.
+  MacConfig cfg;
+  cfg.amc.hysteresis_db = 0.0;
+  cfg.amc.csi_delay_s = 0.05;
+  cfg.max_retx = 1;  // no retries: one transmission per message
+  build(cfg, {15.0}, FadingModel::kRayleigh);
+  std::vector<std::size_t> picks;
+  mac_->set_tx_observer(
+      [&](const Message&, std::size_t mcs, double) { picks.push_back(mcs); });
+  std::vector<double> starts;
+  for (int k = 0; k < 60; ++k) {
+    const double at = 1.0 + 2.0 * k + 0.0123 * (k % 7);
+    starts.push_back(at);
+    sim_.schedule_at(at, [this] {
+      Message m = broadcast_msg(MsgKind::kDownlinkData, 1000);
+      m.dest = 0;
+      mac_->enqueue(m);
+    });
+  }
+  sim_.run_until(200.0);
+  ASSERT_EQ(picks.size(), starts.size());
+  AmcController amc(table_, cfg.amc);
+  int differs = 0;
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    const double delayed = links_->snr_db(0, starts[k] - cfg.amc.csi_delay_s);
+    EXPECT_EQ(picks[k], amc.select_from_snr(delayed, 1000)) << "k=" << k;
+    if (amc.select_from_snr(links_->snr_db(0, starts[k]), 1000) != picks[k])
+      ++differs;
+  }
+  EXPECT_GT(differs, 0);
+}
+
 TEST_F(MacTest, UnicastRetriesOnFailureThenDrops) {
   MacConfig cfg;
   cfg.amc.adaptive = false;
@@ -212,7 +252,6 @@ TEST_F(MacTest, BroadcastReferenceMatchesSortedReference) {
     for (const double p : {0.0, 0.1, 0.25, 0.5, 0.73, 0.9, 1.0}) {
       MacConfig cfg;
       cfg.broadcast_percentile = p;
-      links_.clear();
       recs_.clear();
       build(cfg, snrs);
       EXPECT_EQ(mac_->broadcast_reference_snr(0.0), sorted_percentile(snrs, p))

@@ -83,22 +83,5 @@ TEST_F(AmcTest, MessageSizeLowersChoice) {
   EXPECT_LE(big, small);
 }
 
-TEST_F(AmcTest, SelectUsesDelayedCsi) {
-  AmcConfig cfg;
-  cfg.csi_delay_s = 1.0;
-  cfg.hysteresis_db = 0.0;
-  AmcController amc(table_, cfg);
-  // A channel whose SNR jumps at t=5: selection at t=5.5 still sees the OLD SNR.
-  class Step final : public SnrProcess {
-   public:
-    double snr_db(SimTime t) override { return t < 5.0 ? 2.0 : 30.0; }
-    double mean_snr_db() const override { return 16.0; }
-  } link;
-  const std::size_t before = amc.select(link, 5.5);
-  EXPECT_LE(before, 1u);
-  const std::size_t after = amc.select(link, 6.5);
-  EXPECT_EQ(after, table_.size() - 1);
-}
-
 }  // namespace
 }  // namespace wdc

@@ -8,7 +8,7 @@
 #include <memory>
 #include <vector>
 
-#include "channel/snr_process.hpp"
+#include "channel/downlinks.hpp"
 #include "mac/broadcast_mac.hpp"
 #include "mac/uplink.hpp"
 #include "proto/factory.hpp"
@@ -24,7 +24,9 @@ class ProtoHarness {
                         double snr_db = 50.0, ProtoConfig pcfg = default_proto(),
                         MacConfig mac_cfg = MacConfig{}) {
     table_ = std::make_unique<McsTable>(McsTable::edge());
-    mac_ = std::make_unique<BroadcastMac>(sim_, *table_, mac_cfg, Rng(11));
+    for (std::size_t i = 0; i < num_clients; ++i) links_.add(snr_db, Rng(0));
+    mac_ = std::make_unique<BroadcastMac>(sim_, *table_, mac_cfg, Rng(11),
+                                          links_);
     uplink_ = std::make_unique<UplinkChannel>(sim_, UplinkConfig{0.01, 0.0}, Rng(12));
     DatabaseConfig dbc;
     dbc.num_items = 100;
@@ -32,12 +34,9 @@ class ProtoHarness {
     db_ = std::make_unique<Database>(sim_, dbc, Rng(13));
     sink_ = std::make_unique<StatsSink>(0.0);
     server_ = make_server(kind, sim_, *mac_, *db_, pcfg);
-    for (std::size_t i = 0; i < num_clients; ++i) {
-      links_.push_back(std::make_unique<FixedSnr>(snr_db));
+    for (std::size_t i = 0; i < num_clients; ++i)
       clients_.push_back(make_client(kind, sim_, *mac_, *uplink_, *server_, *db_,
-                                     pcfg, links_.back().get(), *sink_,
-                                     Rng(100 + i)));
-    }
+                                     pcfg, *sink_, Rng(100 + i)));
     server_->start();
   }
 
@@ -56,12 +55,12 @@ class ProtoHarness {
 
   Simulator sim_;
   std::unique_ptr<McsTable> table_;
+  Downlinks links_{FadingConfig{.model = FadingModel::kNone}};
   std::unique_ptr<BroadcastMac> mac_;
   std::unique_ptr<UplinkChannel> uplink_;
   std::unique_ptr<Database> db_;
   std::unique_ptr<StatsSink> sink_;
   std::unique_ptr<ServerProtocol> server_;
-  std::vector<std::unique_ptr<FixedSnr>> links_;
   std::vector<std::unique_ptr<ClientProtocol>> clients_;
 };
 

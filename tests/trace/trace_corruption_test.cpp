@@ -55,7 +55,11 @@ std::vector<std::uint8_t> valid_trace_bytes(std::size_t num_events = 3) {
 }
 
 bool read_mangled(const std::vector<std::uint8_t>& bytes, std::string* error) {
-  const std::string path = temp_path("trace_corruption.wdct");
+  // One file per test: ctest -j runs this file's tests as concurrent
+  // processes, which would otherwise overwrite one another's bytes.
+  const std::string path =
+      temp_path("trace_corruption_") +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".wdct";
   write_bytes(path, bytes);
   TraceFile tf;
   const bool ok = read_trace_file(path, &tf, error);

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "engine/scenario.hpp"
+
 namespace wdc {
 namespace {
 
@@ -123,6 +125,22 @@ TEST(Config, RequireAllUsedNamesEveryUnreadKey) {
   (void)c.get_int("typo_a", 0);
   (void)c.get_int("typo_b", 0);
   EXPECT_NO_THROW(c.require_all_used());
+}
+
+TEST(Config, RequireAllUsedSuggestsNearestKnownKey) {
+  // Known keys are the ones the scenario parser asks for, set or not.
+  Config c;
+  c.set("shadow_sigm", "6");
+  c.set("zzz", "1");
+  (void)Scenario::from_config(c);
+  try {
+    c.require_all_used();
+    FAIL() << "unread keys must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "Config: unknown key(s) 'shadow_sigm' (did you mean "
+                 "'shadow_sigma'?), 'zzz'");
+  }
 }
 
 TEST(Config, LaterSetWins) {
