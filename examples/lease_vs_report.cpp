@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   using namespace wdc;
   Config cfg;
   cfg.load_args(argc, argv);
-  const auto reps = static_cast<unsigned>(cfg.get_int("reps", 2));
+  const auto reps = cfg.get_count("reps", 2u);
 
   Scenario base;
   base.num_clients = 25;

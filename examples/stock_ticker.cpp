@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   using namespace wdc;
   Config cfg;
   cfg.load_args(argc, argv);
-  const auto slices = static_cast<int>(cfg.get_int("slices", 6));
+  const auto slices = cfg.get_count("slices", 6);
 
   Scenario s;
   s.protocol = protocol_from_string(cfg.get_string("protocol", "UIR"));

@@ -6,7 +6,6 @@ namespace wdc {
 
 LruCache::LruCache(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) throw std::invalid_argument("LruCache: capacity > 0");
-  nodes_.reserve(capacity);
 }
 
 std::uint32_t LruCache::acquire_node() {

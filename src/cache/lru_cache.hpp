@@ -12,10 +12,13 @@
 ///    valid (report application time).
 ///
 /// Hot-path layout: the recency list is an intrusive doubly-linked list over a
-/// recycled slab (no node allocation after warm-up), and the id index is a
-/// direct-mapped vector (item ids are dense — no hashing). Invalidation
-/// protocols probe/erase every reported id against every client cache, so
-/// lookup cost dominates; a vector probe is one load vs a hash-map find.
+/// recycled slab, and the id index is a direct-mapped vector (item ids are
+/// dense — no hashing). The slab grows on demand to the most entries ever
+/// resident at once, so a client that touches a handful of items holds a
+/// handful of nodes whatever its capacity, and a warm cache allocates no
+/// nodes. Invalidation protocols probe/erase every reported id against every
+/// client cache, so lookup cost dominates; a vector probe is one load vs a
+/// hash-map find.
 
 #include <cstdint>
 #include <optional>
@@ -106,7 +109,7 @@ class LruCache {
   void maybe_audit() const;
 
   std::size_t capacity_;
-  std::vector<Node> nodes_;           ///< recycled slab; never shrinks
+  std::vector<Node> nodes_;           ///< recycled slab; grown on demand
   std::vector<std::uint32_t> index_;  ///< item id → slab slot (kNil = absent)
   std::uint32_t head_ = kNil;         ///< MRU end
   std::uint32_t tail_ = kNil;         ///< LRU end

@@ -67,6 +67,21 @@ void Downlinks::reserve(std::size_t n) {
   }
 }
 
+std::size_t Downlinks::bytes_per_link(const FadingConfig& cfg) {
+  std::size_t b = sizeof(double);  // mean_db_
+  switch (cfg.model) {
+    case FadingModel::kNone: break;
+    case FadingModel::kRayleigh:
+      // One bank lane: frequency, I phase and Q phase per oscillator.
+      b += 3 * std::size_t{kOscillators} * sizeof(double);
+      if (cfg.shadow_sigma_db > 0.0) b += sizeof(Shadowing);
+      break;
+    case FadingModel::kFsmc: b += sizeof(Fsmc); break;
+    case FadingModel::kGilbertElliott: b += sizeof(GilbertElliott); break;
+  }
+  return b;
+}
+
 std::size_t Downlinks::padded_size() const {
   constexpr std::size_t kLanes = JakesBank::kLanes;
   return (size() + kLanes - 1) / kLanes * kLanes;

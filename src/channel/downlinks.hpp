@@ -75,6 +75,8 @@ class Downlinks {
   /// Room for `n` links in all, so a large cell's add() calls reallocate
   /// nothing.
   void reserve(std::size_t n);
+  /// Bytes one link of a `cfg` cell holds: its mean SNR and fading state.
+  static std::size_t bytes_per_link(const FadingConfig& cfg);
 
   std::size_t size() const { return mean_db_.size(); }
   /// size() rounded up to whole bank blocks: the longest mask snr_db takes.

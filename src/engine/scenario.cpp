@@ -52,22 +52,19 @@ Scenario Scenario::from_config(const Config& c, const Scenario& base) {
   s.sim_time_s = c.get_double("sim_time", s.sim_time_s);
   s.warmup_s = c.get_double("warmup", s.warmup_s);
   s.protocol = protocol_from_string(c.get_string("protocol", to_string(s.protocol)));
-  s.num_clients = static_cast<std::uint32_t>(c.get_int("clients", s.num_clients));
+  s.num_clients = c.get_count("clients", s.num_clients);
 
-  s.db.num_items = static_cast<std::uint32_t>(c.get_int("items", s.db.num_items));
-  s.db.item_bits =
-      static_cast<Bits>(c.get_int(
-          "item_bytes", static_cast<std::int64_t>(s.db.item_bits / 8))) * 8;
+  s.db.num_items = c.get_count("items", s.db.num_items);
+  s.db.item_bits = c.get_count<Bits>("item_bytes", s.db.item_bits / 8) * 8;
   s.db.item_size_sigma = c.get_double("item_size_sigma", s.db.item_size_sigma);
   s.db.update_rate = c.get_double("update_rate", s.db.update_rate);
-  s.db.hot_items = static_cast<std::uint32_t>(c.get_int("hot_items", s.db.hot_items));
+  s.db.hot_items = c.get_count("hot_items", s.db.hot_items);
   s.db.hot_update_frac = c.get_double("hot_update_frac", s.db.hot_update_frac);
 
   s.query.model =
       query_model_from_string(c.get_string("query_model", to_string(s.query.model)));
   s.query.rate = c.get_double("query_rate", s.query.rate);
-  s.query.hot_items =
-      static_cast<std::uint32_t>(c.get_int("query_hot_items", s.query.hot_items));
+  s.query.hot_items = c.get_count("query_hot_items", s.query.hot_items);
   s.query.hot_frac = c.get_double("query_hot_frac", s.query.hot_frac);
   s.query.zipf_theta = c.get_double("zipf_theta", s.query.zipf_theta);
 
@@ -78,18 +75,16 @@ Scenario Scenario::from_config(const Config& c, const Scenario& base) {
       traffic_model_from_string(c.get_string("traffic_model", to_string(s.traffic.model)));
   s.traffic.offered_bps = c.get_double("traffic_bps", s.traffic.offered_bps);
   s.traffic.frame_bits =
-      static_cast<Bits>(c.get_int(
-          "traffic_frame_bytes",
-          static_cast<std::int64_t>(s.traffic.frame_bits / 8))) * 8;
+      c.get_count<Bits>("traffic_frame_bytes", s.traffic.frame_bits / 8) * 8;
   s.traffic.pareto_alpha = c.get_double("traffic_pareto_alpha", s.traffic.pareto_alpha);
   s.traffic.burst_mean_frames =
       c.get_double("traffic_burst_frames", s.traffic.burst_mean_frames);
 
   s.proto.ir_interval_s = c.get_double("ir_interval", s.proto.ir_interval_s);
   s.proto.window_mult = c.get_double("window_mult", s.proto.window_mult);
-  s.proto.uir_m = static_cast<unsigned>(c.get_int("uir_m", s.proto.uir_m));
+  s.proto.uir_m = c.get_count("uir_m", s.proto.uir_m);
   s.proto.cache_capacity =
-      static_cast<std::size_t>(c.get_int("cache_capacity", s.proto.cache_capacity));
+      c.get_count("cache_capacity", s.proto.cache_capacity);
   s.proto.request_timeout_s = c.get_double("request_timeout", s.proto.request_timeout_s);
   s.proto.sig_fp_prob = c.get_double("sig_fp_prob", s.proto.sig_fp_prob);
   s.proto.sig_window_mult = c.get_double("sig_window_mult", s.proto.sig_window_mult);
@@ -97,11 +92,10 @@ Scenario Scenario::from_config(const Config& c, const Scenario& base) {
   s.proto.lair_step_s = c.get_double("lair_step", s.proto.lair_step_s);
   s.proto.lair_min_snr_db = c.get_double("lair_min_snr", s.proto.lair_min_snr_db);
   s.proto.pig_horizon_s = c.get_double("pig_horizon", s.proto.pig_horizon_s);
-  s.proto.pig_max_ids =
-      static_cast<unsigned>(c.get_int("pig_max_ids", s.proto.pig_max_ids));
+  s.proto.pig_max_ids = c.get_count("pig_max_ids", s.proto.pig_max_ids);
   s.proto.hyb_target_gap_s = c.get_double("hyb_target_gap", s.proto.hyb_target_gap_s);
-  s.proto.hyb_max_m = static_cast<unsigned>(c.get_int("hyb_max_m", s.proto.hyb_max_m));
-  s.proto.bs_levels = static_cast<unsigned>(c.get_int("bs_levels", s.proto.bs_levels));
+  s.proto.hyb_max_m = c.get_count("hyb_max_m", s.proto.hyb_max_m);
+  s.proto.bs_levels = c.get_count("bs_levels", s.proto.bs_levels);
   s.proto.cbl_lease_s = c.get_double("cbl_lease", s.proto.cbl_lease_s);
   s.proto.selective_tuning =
       c.get_bool("selective_tuning", s.proto.selective_tuning);
@@ -114,19 +108,17 @@ Scenario Scenario::from_config(const Config& c, const Scenario& base) {
   s.fading.shadow_sigma_db = c.get_double("shadow_sigma", s.fading.shadow_sigma_db);
 
   s.mac.amc.adaptive = c.get_bool("amc", s.mac.amc.adaptive);
-  s.mac.amc.fixed_mcs =
-      static_cast<std::size_t>(c.get_int("fixed_mcs", s.mac.amc.fixed_mcs));
+  s.mac.amc.fixed_mcs = c.get_count("fixed_mcs", s.mac.amc.fixed_mcs);
   s.mac.amc.target_bler = c.get_double("target_bler", s.mac.amc.target_bler);
   s.mac.amc.csi_delay_s = c.get_double("csi_delay", s.mac.amc.csi_delay_s);
   s.mac.broadcast_percentile =
       c.get_double("broadcast_percentile", s.mac.broadcast_percentile);
-  s.mac.max_retx = static_cast<unsigned>(c.get_int("max_retx", s.mac.max_retx));
+  s.mac.max_retx = c.get_count("max_retx", s.mac.max_retx);
 
   s.uplink.base_delay_s = c.get_double("uplink_delay", s.uplink.base_delay_s);
 
   s.trace.enabled = c.get_bool("trace", s.trace.enabled);
-  s.trace.ring_capacity = static_cast<std::uint32_t>(
-      c.get_int("trace_ring", s.trace.ring_capacity));
+  s.trace.ring_capacity = c.get_count("trace_ring", s.trace.ring_capacity);
   s.trace.file = c.get_string("trace_file", s.trace.file);
 
   s.faults.enabled = c.get_bool("faults", s.faults.enabled);
@@ -157,13 +149,11 @@ Scenario Scenario::from_config(const Config& c, const Scenario& base) {
   s.tx_power_dbm = c.get_double("tx_power", s.tx_power_dbm);
   s.noise_dbm = c.get_double("noise", s.noise_dbm);
   s.radio = radio_table_from_string(c.get_string("radio", to_string(s.radio)));
-  s.edge_timeslots = static_cast<unsigned>(c.get_int("timeslots", s.edge_timeslots));
+  s.edge_timeslots = c.get_count("timeslots", s.edge_timeslots);
 
-  s.shard_cells =
-      static_cast<std::uint32_t>(c.get_int("shard_cells", s.shard_cells));
-  s.shard_threads =
-      static_cast<std::uint32_t>(c.get_int("shard_threads", s.shard_threads));
-  s.shard_lag = static_cast<std::uint32_t>(c.get_int("shard_lag", s.shard_lag));
+  s.shard_cells = c.get_count("shard_cells", s.shard_cells);
+  s.shard_threads = c.get_count("shard_threads", s.shard_threads);
+  s.shard_lag = c.get_count("shard_lag", s.shard_lag);
 
   s.validate();
   return s;

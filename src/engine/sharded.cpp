@@ -19,6 +19,8 @@ ShardedSimulation::ShardedSimulation(Scenario scenario)
       threads_(resolve_threads(scenario_.shard_threads, cells_n_)),
       ledger_(cells_n_, scenario_.shard_lag) {
   scenario_.validate();
+  // Cells build concurrently, so the whole population must fit at once.
+  require_construction_fits(scenario_, scenario_.num_clients);
 }
 
 ShardedSimulation::~ShardedSimulation() = default;

@@ -1,26 +1,71 @@
 #include "engine/simulation.hpp"
 
+#include <unistd.h>
+
 #include <stdexcept>
 #include <utility>
 
 #include "engine/digest.hpp"
 #include "engine/sharded.hpp"
 #include "proto/hyb.hpp"
+#include "util/string_util.hpp"
 
 namespace wdc {
+
+ConstructionEstimate construction_estimate(const Scenario& sc,
+                                           std::uint32_t clients) {
+  // glibc's per-block header and 16-byte rounding, paid by every small heap
+  // block a client owns: the client object and its request-timer reserve.
+  constexpr std::uint64_t kBlockOverhead = 16;
+  std::uint64_t b = client_footprint(sc.protocol) + 2 * kBlockOverhead +
+                    sizeof(std::unique_ptr<ClientProtocol>);
+  b += sizeof(std::optional<SleepModel>);
+  b += sizeof(std::optional<QueryGenerator>);
+  b += Downlinks::bytes_per_link(sc.fading);
+  b += BroadcastMac::bytes_per_client();
+  const std::uint64_t events = (sc.sleep.sleep_ratio > 0.0 ? 1 : 0) +
+                               (sc.query.rate > 0.0 ? 1 : 0);
+  b += events * EventQueue::bytes_per_event();
+  return ConstructionEstimate{clients, b};
+}
+
+void require_construction_fits(const Scenario& sc, std::uint32_t clients) {
+  const ConstructionEstimate est = construction_estimate(sc, clients);
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_bytes = sysconf(_SC_PAGESIZE);
+  if (pages <= 0 || page_bytes <= 0) return;  // unknown host size
+  const auto physical = static_cast<std::uint64_t>(pages) *
+                        static_cast<std::uint64_t>(page_bytes);
+  if (est.total_bytes() > physical)
+    throw std::runtime_error(strfmt(
+        "Simulation: %u clients at about %llu bytes per client need about "
+        "%.3g bytes, more than the host's %.3g bytes of physical memory",
+        clients, static_cast<unsigned long long>(est.bytes_per_client),
+        static_cast<double>(est.total_bytes()), static_cast<double>(physical)));
+}
+
+namespace {
+
+/// The span a cell builds, with the scenario validated and the span checked
+/// for range and for host memory, before the Simulation allocates anything.
+ClientSpan validated_span(const Scenario& sc, ClientSpan span) {
+  sc.validate();
+  if (span.begin > span.end || span.end > sc.num_clients || span.size() == 0)
+    throw std::invalid_argument("Simulation: client span out of range");
+  require_construction_fits(sc, span.size());
+  return span;
+}
+
+}  // namespace
 
 Simulation::Simulation(Scenario scenario)
     : Simulation(scenario, ClientSpan{0, scenario.num_clients}) {}
 
 Simulation::Simulation(Scenario scenario, ClientSpan span)
     : scenario_(std::move(scenario)),
-      span_(span),
+      span_(validated_span(scenario_, span)),
       table_(scenario_.make_mcs_table()),
       links_(scenario_.fading) {
-  scenario_.validate();
-  if (span_.begin > span_.end || span_.end > scenario_.num_clients ||
-      span_.size() == 0)
-    throw std::invalid_argument("Simulation: client span out of range");
   Rng master(scenario_.seed);
   Rng geo_rng = master.split();
   Rng chan_rng = master.split();
@@ -51,9 +96,11 @@ Simulation::Simulation(Scenario scenario, ClientSpan span)
   // the single-cell seed chain bit-for-bit.
   const std::uint32_t M = scenario_.num_clients;
   links_.reserve(span_.size());
-  sleeps_.reserve(span_.size());
+  sleeps_ = std::make_unique<std::optional<SleepModel>[]>(span_.size());
   clients_.reserve(span_.size());
-  queries_.reserve(span_.size());
+  queries_ = std::make_unique<std::optional<QueryGenerator>[]>(span_.size());
+  if (scenario_.query.model == QueryModel::kZipf)
+    popularity_.emplace(scenario_.db.num_items, scenario_.query.zipf_theta);
   for (std::uint32_t g = 0; g < M; ++g) {
     Rng link_rng = chan_rng.split();
     const double mean_snr = client_mean_snr(geo_rng);
@@ -61,10 +108,10 @@ Simulation::Simulation(Scenario scenario, ClientSpan span)
     if (g < span_.begin || g >= span_.end) continue;
     const std::uint32_t i = g - span_.begin;
     links_.add(mean_snr, link_rng);
-    sleeps_.push_back(std::make_unique<SleepModel>(
+    sleeps_[i].emplace(
         sim_, scenario_.sleep, sleep_rng,
         [this, i](bool awake) { clients_[i]->on_sleep_transition(awake); },
-        static_cast<ClientId>(i)));
+        static_cast<ClientId>(i));
   }
   for (std::uint32_t g = 0; g < M; ++g) {
     Rng client_rng = wl_rng.split();
@@ -77,15 +124,16 @@ Simulation::Simulation(Scenario scenario, ClientSpan span)
       throw std::logic_error("Simulation: client registration order violated");
     clients_.back()->set_fault_injector(faults_.get());
   }
+  const Zipf* popularity = popularity_ ? &*popularity_ : nullptr;
   for (std::uint32_t g = 0; g < M; ++g) {
     Rng query_rng = wl_rng.split();
     if (g < span_.begin || g >= span_.end) continue;
     const std::uint32_t i = g - span_.begin;
     ClientProtocol* client = clients_[i].get();
-    queries_.push_back(std::make_unique<QueryGenerator>(
-        sim_, scenario_.query, scenario_.db.num_items, query_rng,
+    queries_[i].emplace(
+        sim_, scenario_.query, scenario_.db.num_items, popularity, query_rng,
         [client] { return client->reachable(); },
-        [client](ItemId item) { client->on_query(item); }));
+        [client](ItemId item) { client->on_query(item); });
   }
   // Sleep and churn edges feed the client's own awake/connected state.
   faults_->set_churn_handler(

@@ -13,7 +13,9 @@
 /// database, protocols, workload generators) wired exactly as DESIGN.md describes.
 /// Accessors expose the internals for white-box tests.
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "engine/metrics.hpp"
@@ -41,8 +43,34 @@ struct ClientSpan {
   std::uint32_t size() const { return end - begin; }
 };
 
+/// What a cell's per-client state costs to build, from the per-client
+/// footprint of every layer (see construction_estimate).
+struct ConstructionEstimate {
+  std::uint64_t clients = 0;
+  std::uint64_t bytes_per_client = 0;
+  std::uint64_t total_bytes() const { return clients * bytes_per_client; }
+};
+
+/// Bytes that building `clients` clients of `sc` allocates, counted before
+/// anything is allocated: the concrete client object (with what its
+/// constructor reserves), its SleepModel and QueryGenerator slots, its
+/// downlink (bank lanes or per-link model), its MAC registration, and the
+/// events its workload queues at construction, plus the allocator's header on
+/// each per-client heap block. State that grows while the run goes (cache
+/// slabs and indexes, pending queries) is not in it.
+ConstructionEstimate construction_estimate(const Scenario& sc,
+                                           std::uint32_t clients);
+
+/// Throws std::runtime_error naming the client count, the bytes per client
+/// and the estimate when construction_estimate(sc, clients) exceeds the
+/// host's physical memory (sysconf). Allocates nothing on the way.
+void require_construction_fits(const Scenario& sc, std::uint32_t clients);
+
 class Simulation {
  public:
+  /// Both constructors throw std::runtime_error, before allocating any
+  /// per-client state, when construction_estimate for their clients exceeds
+  /// the host's physical memory.
   explicit Simulation(Scenario scenario);
 
   /// Build one cell of a sharded run: only clients in `span` exist here, but
@@ -105,9 +133,14 @@ class Simulation {
   std::unique_ptr<Database> db_;
   std::unique_ptr<StatsSink> sink_;
   std::unique_ptr<ServerProtocol> server_;
-  std::vector<std::unique_ptr<SleepModel>> sleeps_;
+  /// The Zipf query model's popularity table, shared by every generator.
+  std::optional<Zipf> popularity_;
+  /// Per-client workload state in flat arrays sized once to the span. Both
+  /// types schedule events that capture `this` in their constructors, so
+  /// they are built in place (emplace) and never move.
+  std::unique_ptr<std::optional<SleepModel>[]> sleeps_;
   std::vector<std::unique_ptr<ClientProtocol>> clients_;
-  std::vector<std::unique_ptr<QueryGenerator>> queries_;
+  std::unique_ptr<std::optional<QueryGenerator>[]> queries_;
   std::unique_ptr<TrafficGenerator> traffic_;
   bool ran_ = false;
 };

@@ -307,6 +307,20 @@ double metrics_mean(const std::vector<Metrics>& reps, Field field) {
   return sum / static_cast<double>(reps.size());
 }
 
+/// Per-cell downlink-pass work (all zero when the build strips perf
+/// counters — the schema stays stable either way).
+void write_link_pass_block(std::ostream& os, const std::vector<Metrics>& reps) {
+  os << "\"link_pass\": {\"links_evaluated\": "
+     << json_num(metrics_mean(reps, [](const Metrics& m) {
+          return static_cast<double>(m.link_pass.links_evaluated);
+        }))
+     << ", \"padded_lanes\": "
+     << json_num(metrics_mean(reps, [](const Metrics& m) {
+          return static_cast<double>(m.link_pass.padded_lanes);
+        }))
+     << "}";
+}
+
 /// Per-cell trace-derived latency decomposition (all zero when tracing was off
 /// for every replication — the schema stays stable either way).
 void write_decomp_block(std::ostream& os, const std::vector<Metrics>& reps) {
@@ -425,6 +439,8 @@ bool write_json(const SweepSpec& spec, const SweepOptions& opts,
     write_faults_block(os, cell.reps);
     os << ",\n     ";
     write_kernel_block(os, cell.reps);
+    os << ",\n     ";
+    write_link_pass_block(os, cell.reps);
     os << "}";
   }
   os << "\n  ]\n}\n";

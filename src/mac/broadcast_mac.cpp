@@ -148,14 +148,17 @@ void BroadcastMac::finish() {
   // independent decode draw (broadcast medium: everyone overhears everything).
   // One pass computes every listener's SNR first; a delivery only ever
   // changes its own client's listening byte, so the serial loop below visits
-  // exactly the clients the pass evaluated.
+  // exactly the clients the pass evaluated. The frame's scheme and block
+  // count are taken once; each listener pays only its frame_ok.
   bool dest_decoded = false;
   const SimTime t = sim_.now();
+  const Mcs& scheme = table_[fl.mcs];
+  const double blocks = static_cast<double>(table_.blocks_for(fl.q.msg.bits));
   links_.snr_db(listening_, t, snr_.data());
   delivering_ = true;
   for (std::size_t c = 0; c < listeners_.size(); ++c) {
     if (listening_[c] == 0) continue;
-    const double p_ok = table_.decode_prob(fl.q.msg.bits, fl.mcs, snr_[c]);
+    const double p_ok = scheme.frame_ok(snr_[c], blocks);
     const bool decoded = rng_.bernoulli(p_ok);
     // Fault erasure applies AFTER the (unconditional) decode draw: an erased
     // reception looks exactly like a PHY decode failure downstream, and a

@@ -91,6 +91,12 @@ class BroadcastMac {
   /// must already have a link in the MAC's Downlinks. `listener` is owned by
   /// the caller and must outlive the MAC. A new client is not listening.
   ClientId register_client(MacListener* listener);
+  /// Bytes one registered client holds in the MAC: its listener pointer,
+  /// unicast AMC state, listening and registered bytes, and SNR slots.
+  static constexpr std::size_t bytes_per_client() {
+    return sizeof(MacListener*) + sizeof(AmcController) +
+           2 * sizeof(std::uint8_t) + 2 * sizeof(double);
+  }
 
   /// The client's owner pushes every change of its radio state here; the MAC
   /// reads the bit on every fan-out, ARQ retry decision and broadcast MCS pick.

@@ -10,6 +10,10 @@ double Mcs::bler(double snr_db) const {
   return 1.0 / (1.0 + std::exp((snr_db - gamma50_db) / slope_db));
 }
 
+double Mcs::frame_ok(double snr_db, double blocks) const {
+  return std::pow(1.0 - bler(snr_db), blocks);
+}
+
 double Mcs::snr_for_bler(double target) const {
   if (!(target > 0.0 && target < 1.0))
     throw std::invalid_argument("Mcs::snr_for_bler: target in (0,1)");
@@ -85,8 +89,7 @@ std::size_t McsTable::blocks_for(Bits bits) const {
 }
 
 double McsTable::decode_prob(Bits bits, std::size_t i, double snr_db) const {
-  const double per_block_ok = 1.0 - schemes_.at(i).bler(snr_db);
-  return std::pow(per_block_ok, static_cast<double>(blocks_for(bits)));
+  return schemes_.at(i).frame_ok(snr_db, static_cast<double>(blocks_for(bits)));
 }
 
 }  // namespace wdc

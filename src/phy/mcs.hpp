@@ -34,6 +34,10 @@ struct Mcs {
 
   /// SNR (dB) at which this scheme reaches `target` BLER (inverse of bler()).
   double snr_for_bler(double target) const;
+
+  /// Probability that all of a message's `blocks` radio blocks decode at
+  /// `snr_db`: (1 − BLER)^blocks.
+  double frame_ok(double snr_db, double blocks) const;
 };
 
 class McsTable {

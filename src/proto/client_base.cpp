@@ -15,6 +15,8 @@ namespace {
 /// Tolerance for content-stamp continuity comparisons (report stamps are exact
 /// doubles propagated through arithmetic; keep a safety epsilon).
 constexpr SimTime kEps = 1e-9;
+/// Request-timer slots the constructor reserves (see there for why).
+constexpr std::size_t kRequestTimerReserve = 2;
 }  // namespace
 
 ClientProtocol::ClientProtocol(Simulator& sim, BroadcastMac& mac,
@@ -33,9 +35,13 @@ ClientProtocol::ClientProtocol(Simulator& sim, BroadcastMac& mac,
   // Room for the usual in-flight fetches. Allocated here, it also leaves a
   // small block between each client's larger ones, so glibc does not trim and
   // re-fault the heap when simulations are built back to back.
-  request_timers_.reserve(2);
+  request_timers_.reserve(kRequestTimerReserve);
   id_ = mac_.register_client(this);
   note_radio_state();
+}
+
+std::size_t ClientProtocol::heap_bytes_at_construction() {
+  return kRequestTimerReserve * sizeof(RequestState);
 }
 
 void ClientProtocol::on_query(ItemId item) {

@@ -58,6 +58,9 @@ class ClientProtocol : private MacListener {
                  StatsSink& sink, Rng rng);
   virtual ~ClientProtocol() = default;
 
+  /// Heap bytes the constructor reserves (the request-timer room).
+  static std::size_t heap_bytes_at_construction();
+
   ClientProtocol(const ClientProtocol&) = delete;
   ClientProtocol& operator=(const ClientProtocol&) = delete;
 

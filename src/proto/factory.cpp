@@ -35,31 +35,47 @@ std::unique_ptr<ServerProtocol> make_server(ProtocolKind kind, Simulator& sim,
   throw std::logic_error("make_server: unreachable");
 }
 
+namespace {
+
+/// Calls `f(std::type_identity<T>{})` with T the concrete client of `kind`.
+template <typename F>
+decltype(auto) with_client_type(ProtocolKind kind, F&& f) {
+  switch (kind) {
+    case ProtocolKind::kTs: return f(std::type_identity<ClientTs>{});
+    case ProtocolKind::kAt: return f(std::type_identity<ClientAt>{});
+    case ProtocolKind::kSig: return f(std::type_identity<ClientSig>{});
+    case ProtocolKind::kUir: return f(std::type_identity<ClientUir>{});
+    case ProtocolKind::kLair: return f(std::type_identity<ClientLair>{});
+    case ProtocolKind::kPig: return f(std::type_identity<ClientPig>{});
+    case ProtocolKind::kHyb: return f(std::type_identity<ClientHyb>{});
+    case ProtocolKind::kNc: return f(std::type_identity<ClientNc>{});
+    case ProtocolKind::kPer: return f(std::type_identity<ClientPer>{});
+    case ProtocolKind::kBs: return f(std::type_identity<ClientBs>{});
+    case ProtocolKind::kCbl: return f(std::type_identity<ClientCbl>{});
+  }
+  throw std::logic_error("with_client_type: unreachable");
+}
+
+}  // namespace
+
 std::unique_ptr<ClientProtocol> make_client(ProtocolKind kind, Simulator& sim,
                                             BroadcastMac& mac, UplinkChannel& uplink,
                                             ServerProtocol& server,
                                             const Database& oracle,
                                             const ProtoConfig& cfg,
                                             StatsSink& sink, Rng rng) {
-  // One constructor call, instantiated per client type.
-  const auto make = [&](auto type) -> std::unique_ptr<ClientProtocol> {
-    return std::make_unique<typename decltype(type)::type>(
-        sim, mac, uplink, server, oracle, cfg, sink, rng);
-  };
-  switch (kind) {
-    case ProtocolKind::kTs: return make(std::type_identity<ClientTs>{});
-    case ProtocolKind::kAt: return make(std::type_identity<ClientAt>{});
-    case ProtocolKind::kSig: return make(std::type_identity<ClientSig>{});
-    case ProtocolKind::kUir: return make(std::type_identity<ClientUir>{});
-    case ProtocolKind::kLair: return make(std::type_identity<ClientLair>{});
-    case ProtocolKind::kPig: return make(std::type_identity<ClientPig>{});
-    case ProtocolKind::kHyb: return make(std::type_identity<ClientHyb>{});
-    case ProtocolKind::kNc: return make(std::type_identity<ClientNc>{});
-    case ProtocolKind::kPer: return make(std::type_identity<ClientPer>{});
-    case ProtocolKind::kBs: return make(std::type_identity<ClientBs>{});
-    case ProtocolKind::kCbl: return make(std::type_identity<ClientCbl>{});
-  }
-  throw std::logic_error("make_client: unreachable");
+  return with_client_type(
+      kind, [&](auto type) -> std::unique_ptr<ClientProtocol> {
+        return std::make_unique<typename decltype(type)::type>(
+            sim, mac, uplink, server, oracle, cfg, sink, rng);
+      });
+}
+
+std::size_t client_footprint(ProtocolKind kind) {
+  return with_client_type(kind, [](auto type) {
+    return sizeof(typename decltype(type)::type) +
+           ClientProtocol::heap_bytes_at_construction();
+  });
 }
 
 }  // namespace wdc

@@ -4,6 +4,7 @@
 /// @file factory.hpp
 /// Construct matching server/client protocol instances by ProtocolKind.
 
+#include <cstddef>
 #include <memory>
 
 #include "proto/client_base.hpp"
@@ -22,6 +23,10 @@ std::unique_ptr<ClientProtocol> make_client(ProtocolKind kind, Simulator& sim,
                                             const Database& oracle,
                                             const ProtoConfig& cfg,
                                             StatsSink& sink, Rng rng);
+
+/// Bytes a `kind` client owns when constructed: the concrete object plus what
+/// ClientProtocol's constructor reserves on the heap.
+std::size_t client_footprint(ProtocolKind kind);
 
 }  // namespace wdc
 

@@ -81,6 +81,12 @@ class EventQueue {
   /// are compiled out.
   void audit() const;
 
+  /// Bytes one pending event holds: its slot (with the inline action) and its
+  /// heap key.
+  static constexpr std::size_t bytes_per_event() {
+    return sizeof(Slot) + sizeof(detail::HeapEntry);
+  }
+
  private:
   friend struct detail::EventQueueTestPeer;
 

@@ -16,9 +16,9 @@ Scenario default_scenario() {
 
 SweepOptions options_from_config(const Config& cfg) {
   SweepOptions opts;
-  opts.reps = static_cast<unsigned>(cfg.get_int("reps", 3));
-  opts.threads = static_cast<unsigned>(cfg.get_int("threads", 0));
-  opts.trace_every = static_cast<unsigned>(cfg.get_int("trace_every", 0));
+  opts.reps = cfg.get_count("reps", 3u);
+  opts.threads = cfg.get_count("threads", 0u);
+  opts.trace_every = cfg.get_count("trace_every", 0u);
   opts.trace_dir = cfg.get_string("trace_dir", opts.trace_dir);
   opts.base = Scenario::from_config(cfg, default_scenario());
   return opts;

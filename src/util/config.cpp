@@ -1,6 +1,7 @@
 #include "util/config.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
@@ -79,10 +80,14 @@ std::int64_t Config::get_int(std::string_view key, std::int64_t def) const {
   const auto v = raw(key);
   if (!v) return def;
   char* end = nullptr;
+  errno = 0;
   const long long i = std::strtoll(v->c_str(), &end, 10);
   if (end == v->c_str() || !trim(std::string_view(end)).empty())
     throw std::runtime_error("Config: key '" + std::string(key) +
                              "' is not an integer: " + *v);
+  if (errno == ERANGE)
+    throw std::runtime_error("Config: key '" + std::string(key) +
+                             "' is outside the 64-bit integer range: " + *v);
   return i;
 }
 

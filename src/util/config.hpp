@@ -9,9 +9,11 @@
 /// record every key that was read, so unknown/misspelt keys can be rejected.
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,6 +42,23 @@ class Config {
   double get_double(std::string_view key, double def) const;
   std::int64_t get_int(std::string_view key, std::int64_t def) const;
   bool get_bool(std::string_view key, bool def) const;
+
+  /// get_int narrowed to the unsigned type T. A negative or over-range value
+  /// throws std::invalid_argument naming the key, where a plain cast would
+  /// wrap it into another value that then runs (clients=4294967297 as one
+  /// client, cache_capacity=-1 as an unbounded cache).
+  template <typename T>
+  T get_count(std::string_view key, T def) const {
+    const std::int64_t v = get_int(key, static_cast<std::int64_t>(def));
+    constexpr auto kMax =
+        static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    if (v < 0 || static_cast<std::uint64_t>(v) > kMax)
+      throw std::invalid_argument("Config: key '" + std::string(key) +
+                                  "' = " + std::to_string(v) +
+                                  " is out of range [0, " +
+                                  std::to_string(kMax) + "]");
+    return static_cast<T>(v);
+  }
 
   /// Keys present in the store that no getter has asked for (catch typos).
   std::vector<std::string> unused_keys() const;

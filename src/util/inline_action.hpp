@@ -26,6 +26,8 @@ template <typename R, typename... Args, std::size_t Capacity>
 class InlineFunction<R(Args...), Capacity> {
  public:
   InlineFunction() noexcept = default;
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  InlineFunction(std::nullptr_t) noexcept {}
 
   template <typename F,
             typename = std::enable_if_t<

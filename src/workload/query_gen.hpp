@@ -12,12 +12,16 @@
 /// would arrive while the client is disconnected are not generated (a powered-off
 /// terminal issues no queries). The Poisson clock keeps running so reconnection
 /// does not cause a synchronized burst.
+///
+/// The Zipf model samples from one immutable CDF table that the owner builds
+/// once and shares across every client's generator: sampling is a pure
+/// function of the table and the generator's own Rng, so sharing it changes
+/// no draw.
 
-#include <functional>
-#include <memory>
 #include <string>
 
 #include "sim/simulator.hpp"
+#include "util/inline_action.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 #include "util/variates.hpp"
@@ -41,12 +45,18 @@ struct QueryConfig {
 
 class QueryGenerator {
  public:
-  using QueryFn = std::function<void(ItemId)>;
-  using ActiveFn = std::function<bool()>;
+  /// Small-buffer callbacks (the InlineFunction of SleepModel and the event
+  /// kernel): the engine's captures are one client pointer, so a generator
+  /// owns no heap block.
+  using QueryFn = InlineFunction<void(ItemId), 16>;
+  using ActiveFn = InlineFunction<bool(), 16>;
 
-  /// Starts generating immediately.
+  /// Starts generating immediately. `popularity` is the shared Zipf table over
+  /// `num_items` ids at `cfg.zipf_theta`; the Zipf model requires it, the
+  /// hot/cold model ignores it (pass nullptr). It must outlive the generator.
   QueryGenerator(Simulator& sim, const QueryConfig& cfg, std::uint32_t num_items,
-                 Rng rng, ActiveFn active, QueryFn on_query);
+                 const Zipf* popularity, Rng rng, ActiveFn active,
+                 QueryFn on_query);
 
   QueryGenerator(const QueryGenerator&) = delete;
   QueryGenerator& operator=(const QueryGenerator&) = delete;
@@ -62,7 +72,7 @@ class QueryGenerator {
   QueryConfig cfg_;
   std::uint32_t num_items_;
   Exponential inter_arrival_;
-  std::unique_ptr<Zipf> item_dist_;  ///< only for the Zipf model
+  const Zipf* popularity_;  ///< shared table; only read by the Zipf model
   Rng rng_;
   ActiveFn active_;
   QueryFn on_query_;

@@ -28,9 +28,30 @@ struct LruCacheTestPeer {
   }
   /// Leak a node: claim one fewer resident entry than the list holds.
   static void deflate_size(LruCache& c) { --c.size_; }
+
+  /// Slab nodes in use (resident + free) and slab room allocated.
+  static std::size_t slab_nodes(const LruCache& c) { return c.nodes_.size(); }
+  static std::size_t slab_room(const LruCache& c) {
+    return c.nodes_.capacity();
+  }
+  /// Length of the free chain.
+  static std::size_t free_nodes(const LruCache& c) {
+    std::size_t n = 0;
+    for (std::uint32_t f = c.free_head_; f != LruCache::kNil;
+         f = c.nodes_[f].next)
+      ++n;
+    return n;
+  }
 };
 
 namespace {
+
+TEST(LruCacheModel, FreshCacheReservesNoSlab) {
+  // Construction costs what a client holds, not what it could hold.
+  const LruCache cache(150);
+  EXPECT_EQ(LruCacheTestPeer::slab_nodes(cache), 0u);
+  EXPECT_EQ(LruCacheTestPeer::slab_room(cache), 0u);
+}
 
 TEST(LruCacheModel, RandomScriptMatchesVectorReference) {
   constexpr std::size_t kCapacity = 8;
@@ -39,6 +60,7 @@ TEST(LruCacheModel, RandomScriptMatchesVectorReference) {
   std::vector<CacheEntry> model;  // front = MRU, back = LRU
   Rng rng(5150);
   std::uint64_t hits = 0, misses = 0, evictions = 0;
+  std::size_t high_water = 0;  // most entries ever resident after a call
 
   const auto model_find = [&](ItemId id) {
     return std::find_if(model.begin(), model.end(),
@@ -106,6 +128,14 @@ TEST(LruCacheModel, RandomScriptMatchesVectorReference) {
     }
 
     ASSERT_EQ(cache.size(), model.size());
+    // The slab grows on demand: every node is resident or free, and there
+    // are only as many as were ever needed at once (a put into a full cache
+    // holds one node more than capacity until it evicts).
+    high_water = std::max(high_water, cache.size());
+    const std::size_t nodes = LruCacheTestPeer::slab_nodes(cache);
+    ASSERT_EQ(nodes, cache.size() + LruCacheTestPeer::free_nodes(cache));
+    ASSERT_GE(nodes, high_water);
+    ASSERT_LE(nodes, high_water == kCapacity ? kCapacity + 1 : high_water);
     if (step % 250 == 0) {
       // Full-order comparison: resident() documents MRU→LRU order.
       const auto ids = cache.resident();

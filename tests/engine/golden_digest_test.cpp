@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "engine/digest.hpp"
 #include "engine/simulation.hpp"
@@ -25,29 +26,55 @@
 namespace wdc {
 namespace {
 
-class GoldenDigest : public ::testing::TestWithParam<GoldenEntry> {};
-
-TEST_P(GoldenDigest, MatchesPinnedMetricsDigest) {
-  const GoldenEntry& expect = GetParam();
-  const Metrics m = run_scenario(golden_scenario(expect.protocol));
-  const std::uint64_t actual = metrics_digest(m);
+/// Runs `sc` and checks its digest against `pinned`; with WDC_PRINT_GOLDEN
+/// set it also prints a paste-ready table row.
+void expect_pinned_digest(const Scenario& sc, std::uint64_t pinned) {
+  const std::uint64_t actual = metrics_digest(run_scenario(sc));
   if (std::getenv("WDC_PRINT_GOLDEN") != nullptr) {
     std::printf("    {ProtocolKind::%s, 0x%016llxull},\n",
-                enum_name(expect.protocol),
+                enum_name(sc.protocol),
                 static_cast<unsigned long long>(actual));
   }
-  EXPECT_EQ(actual, expect.digest)
-      << to_string(expect.protocol) << " metrics digest drifted: expected 0x"
-      << std::hex << expect.digest << ", got 0x" << actual << std::dec
+  EXPECT_EQ(actual, pinned)
+      << to_string(sc.protocol) << " metrics digest drifted: expected 0x"
+      << std::hex << pinned << ", got 0x" << actual << std::dec
       << " — the simulation is no longer bit-identical at the pinned "
          "operating point (re-pin ONLY for intentional model changes)";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllProtocolsAndBaselines, GoldenDigest, ::testing::ValuesIn(kGolden),
-    [](const ::testing::TestParamInfo<GoldenEntry>& tpi) {
-      return to_string(tpi.param.protocol);
-    });
+std::string protocol_name(const ::testing::TestParamInfo<GoldenEntry>& tpi) {
+  return to_string(tpi.param.protocol);
+}
+
+class GoldenDigest : public ::testing::TestWithParam<GoldenEntry> {};
+
+TEST_P(GoldenDigest, MatchesPinnedMetricsDigest) {
+  expect_pinned_digest(golden_scenario(GetParam().protocol), GetParam().digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllProtocolsAndBaselines, GoldenDigest,
+                         ::testing::ValuesIn(kGolden), protocol_name);
+
+/// The golden operating point under the Zipf query model. Every client's
+/// generator samples one popularity table shared by the whole Simulation;
+/// these digests were pinned from a build in which each generator built its
+/// own table, so they prove that sharing it changes no draw. TS is the plain
+/// report-driven client; PIG also answers queries from piggybacked digests.
+constexpr GoldenEntry kZipfGolden[] = {
+    {ProtocolKind::kTs, 0x6e9dd06c4562852aull},
+    {ProtocolKind::kPig, 0xb2b510d6c369823full},
+};
+
+class ZipfGoldenDigest : public ::testing::TestWithParam<GoldenEntry> {};
+
+TEST_P(ZipfGoldenDigest, MatchesPinnedMetricsDigest) {
+  Scenario sc = golden_scenario(GetParam().protocol);
+  sc.query.model = QueryModel::kZipf;
+  expect_pinned_digest(sc, GetParam().digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(SharedPopularityTable, ZipfGoldenDigest,
+                         ::testing::ValuesIn(kZipfGolden), protocol_name);
 
 }  // namespace
 }  // namespace wdc

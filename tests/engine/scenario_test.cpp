@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 namespace wdc {
 namespace {
 
@@ -45,6 +49,51 @@ TEST(Scenario, FromConfigMarksKeysUsed) {
   const auto unused = c.unused_keys();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "definitely_not_a_key");
+}
+
+TEST(Scenario, OutOfRangeIntegerKeysFailNamingTheKey) {
+  // A plain cast would wrap each of these into another value that runs:
+  // clients=4294967297 as one client, cache_capacity=-1 as an unbounded
+  // cache. Parsing throws before anything is built.
+  const std::pair<const char*, const char*> cases[] = {
+      {"clients", "4294967297"},      {"clients", "-1"},
+      {"items", "-5"},                {"items", "4294967296"},
+      {"hot_items", "-1"},            {"query_hot_items", "4294967296"},
+      {"cache_capacity", "-1"},       {"fixed_mcs", "-1"},
+      {"shard_cells", "-2"},          {"shard_threads", "4294967296"},
+      {"shard_lag", "-1"},            {"item_bytes", "-8"},
+  };
+  for (const auto& [key, value] : cases) {
+    Config c;
+    c.set(key, value);
+    try {
+      (void)Scenario::from_config(c);
+      ADD_FAILURE() << key << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest in-range values still parse.
+  Config c;
+  c.set("clients", "4294967295");
+  c.set("shard_lag", "4294967295");
+  const Scenario s = Scenario::from_config(c);
+  EXPECT_EQ(s.num_clients, 4294967295u);
+  EXPECT_EQ(s.shard_lag, 4294967295u);
+}
+
+TEST(Scenario, IntegerBeyondSixtyFourBitsFailsNamingTheKey) {
+  Config c;
+  c.set("cache_capacity", "99999999999999999999");
+  try {
+    (void)Scenario::from_config(c);
+    ADD_FAILURE() << "an integer past the 64-bit range was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'cache_capacity'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Scenario, ValidateRejectsNonsense) {

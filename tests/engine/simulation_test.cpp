@@ -1,8 +1,11 @@
 #include "engine/simulation.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace wdc {
 namespace {
@@ -118,6 +121,66 @@ TEST(Simulation, LinkPassCountersArePinned) {
   std::ostringstream os;
   m.print(os);
   EXPECT_NE(os.str().find("downlink pass"), std::string::npos);
+}
+
+/// The 10^5-client cell of the `cell_pop` benchmark workload, parsed the way
+/// `wdc_sim run` parses it.
+Scenario cell_pop_scenario() {
+  Config c;
+  c.set("clients", "100000");
+  c.set("items", "500");
+  c.set("sleep_ratio", "0.1");
+  c.set("traffic_bps", "10000");
+  c.set("ir_interval", "5");
+  c.set("warmup", "1");
+  c.set("sim_time", "16");
+  return Scenario::from_config(c);
+}
+
+TEST(ConstructionEstimate, CellPopClientCostsAtMostTwoKilobytes) {
+  // Deterministic on a given ABI: the sum of per-client type sizes, bank
+  // lane, MAC slots and queued events. A layer that grows its per-client
+  // footprint past the 2 KB budget fails here before any benchmark runs.
+  const Scenario sc = cell_pop_scenario();
+  const ConstructionEstimate est = construction_estimate(sc, sc.num_clients);
+  EXPECT_EQ(est.clients, 100000u);
+  EXPECT_LE(est.bytes_per_client, 2048u);
+  // The bank lane alone is 384 B and the client object several hundred more.
+  EXPECT_GE(est.bytes_per_client, 1024u);
+  EXPECT_EQ(est.total_bytes(), est.clients * est.bytes_per_client);
+  // The Zipf model's table is shared, so it adds nothing per client.
+  Scenario zipf = sc;
+  zipf.query.model = QueryModel::kZipf;
+  EXPECT_EQ(construction_estimate(zipf, zipf.num_clients).bytes_per_client,
+            est.bytes_per_client);
+}
+
+long peak_rss_kb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+TEST(ConstructionEstimate, PopulationBeyondPhysicalMemoryFailsBeforeBuilding) {
+  Config c;
+  c.set("clients", "4294967295");
+  const Scenario sc = Scenario::from_config(c);
+  const long rss0 = peak_rss_kb();
+  for (const std::uint32_t cells : {1u, 8u}) {
+    Scenario s = sc;
+    s.shard_cells = cells;
+    try {
+      (void)run_scenario(s);
+      ADD_FAILURE() << "a 2^32-1 client cell was built";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("4294967295 clients"), std::string::npos) << what;
+      EXPECT_NE(what.find("bytes per client"), std::string::npos) << what;
+      EXPECT_NE(what.find("physical memory"), std::string::npos) << what;
+    }
+  }
+  // Building even 1% of those clients would raise the peak by gigabytes.
+  EXPECT_LT(peak_rss_kb() - rss0, 64L * 1024);
 }
 
 }  // namespace

@@ -126,6 +126,23 @@ TEST(McsTable, DecodeProbComposesPerBlock) {
   EXPECT_GT(one, five);
 }
 
+TEST(McsTable, FrameOkIsThePerBlockPowerBitForBit) {
+  // The MAC takes the scheme and block count once per frame and calls
+  // frame_ok per listener; it must be exactly (1 − BLER)^blocks, the
+  // decode_prob formula, so the golden digests cannot tell them apart.
+  const McsTable t = McsTable::edge();
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    for (const Bits bits : {Bits{0}, Bits{456}, Bits{4000}, Bits{65536}}) {
+      const double blocks = static_cast<double>(t.blocks_for(bits));
+      for (double snr = -10.0; snr <= 35.0; snr += 0.37) {
+        const double expect = std::pow(1.0 - t[i].bler(snr), blocks);
+        EXPECT_EQ(t[i].frame_ok(snr, blocks), expect);
+        EXPECT_EQ(t.decode_prob(bits, i, snr), expect);
+      }
+    }
+  }
+}
+
 TEST(McsTable, DecodeProbHighAtHighSnr) {
   const McsTable t = McsTable::edge();
   EXPECT_GT(t.decode_prob(4560, 0, 30.0), 0.999);

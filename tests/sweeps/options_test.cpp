@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,22 @@ TEST(SweepOptionsTest, OverridesLandExactlyOnce) {
   EXPECT_EQ(opts.base.seed, 7u);
   EXPECT_EQ(opts.base.num_clients, 12u);
   EXPECT_EQ(opts.base.db.num_items, 600u);
+}
+
+TEST(SweepOptionsTest, NegativeRunCountsFailNamingTheKey) {
+  // A plain cast would turn reps=-1 into 4294967295 replications.
+  for (const char* key : {"reps", "threads", "trace_every"}) {
+    Config cfg;
+    cfg.set(key, "-1");
+    try {
+      (void)sweeps::options_from_config(cfg);
+      ADD_FAILURE() << key << "=-1 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SweepOptionsTest, NoRoundTripThroughTextFormatting) {

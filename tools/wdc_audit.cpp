@@ -145,10 +145,9 @@ void check_consistency(const Scenario& sc, const Metrics& m, AuditResult& r) {
 }
 
 int run_audit(Config& cfg) {
-  const auto reps = static_cast<unsigned>(cfg.get_int("reps", 3));
-  const auto threads = static_cast<unsigned>(cfg.get_int("threads", 4));
-  const auto slices =
-      std::max(1u, static_cast<unsigned>(cfg.get_int("slices", 8)));
+  const auto reps = cfg.get_count("reps", 3u);
+  const auto threads = cfg.get_count("threads", 4u);
+  const auto slices = std::max(1u, cfg.get_count("slices", 8u));
   std::vector<ProtocolKind> protocols =
       parse_protocols(cfg.get_string("protocols", ""));
   if (protocols.empty())

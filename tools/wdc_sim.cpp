@@ -2,8 +2,10 @@
 /// The command-line driver for wdc-sim.
 ///
 ///   wdc_sim run [key=value …]
-///       One simulation; prints every metric. (What examples/quickstart does,
-///       plus optional multi-replication CIs via reps=N.)
+///       One simulation; prints every metric, then (single cell) a
+///       `construction` line: set-up wall time, minor faults and peak RSS.
+///       (What examples/quickstart does, plus optional multi-replication CIs
+///       via reps=N.)
 ///
 ///   wdc_sim compare [protocols=TS,UIR,HYB] [key=value …]
 ///       All requested protocols at one operating point, one row each.
@@ -17,9 +19,13 @@
 /// reps= (default 1 for run, 3 otherwise), threads= and csv=. An unknown key
 /// is an error (exit 1), never silently ignored.
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <functional>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,17 +74,46 @@ std::vector<ProtocolKind> parse_protocols(const std::string& csv) {
   return out;
 }
 
+/// Builds a single-cell simulation and returns its "construction" line: the
+/// set-up's wall time and minor faults, and the process's peak RSS after it.
+/// Host measurements, kept out of Metrics and its digest.
+std::string build_timed(const Scenario& sc, std::unique_ptr<Simulation>& sim) {
+  rusage r0{};
+  rusage r1{};
+  getrusage(RUSAGE_SELF, &r0);
+  const auto t0 = std::chrono::steady_clock::now();
+  sim = std::make_unique<Simulation>(sc);
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - t0;
+  getrusage(RUSAGE_SELF, &r1);
+  return strfmt(
+      "construction       %.3f s, %ld minor faults, peak RSS %.1f MB\n",
+      wall.count(), r1.ru_minflt - r0.ru_minflt,
+      static_cast<double>(r1.ru_maxrss) / 1024.0);
+}
+
 int cmd_run(Config& cfg) {
-  const auto reps = static_cast<unsigned>(cfg.get_int("reps", 1));
-  const auto threads = static_cast<unsigned>(cfg.get_int("threads", 0));
+  const auto reps = cfg.get_count("reps", 1u);
+  const auto threads = cfg.get_count("threads", 0u);
   const Scenario sc = Scenario::from_config(cfg);
   cfg.require_all_used();
   if (reps <= 1) {
-    const Metrics m = run_scenario(sc);
+    // A sharded run builds its cells inside run(), so only a single cell
+    // reports its construction.
+    std::string construction;
+    Metrics m;
+    if (sc.sharded()) {
+      m = run_scenario(sc);
+    } else {
+      std::unique_ptr<Simulation> sim;
+      construction = build_timed(sc, sim);
+      m = sim->run();
+    }
     std::cout << "protocol " << to_string(sc.protocol) << ", seed " << sc.seed
               << ", " << m.sim_time_s << "s simulated, " << m.events
               << " events\n\n";
     m.print(std::cout);
+    std::cout << construction;
     return m.stale_serves == 0 || sc.protocol == ProtocolKind::kCbl ? 0 : 1;
   }
   const auto rs = run_replications(sc, reps, threads);
@@ -96,8 +131,8 @@ int cmd_run(Config& cfg) {
 }
 
 int cmd_compare(Config& cfg) {
-  const auto reps = static_cast<unsigned>(cfg.get_int("reps", 3));
-  const auto threads = static_cast<unsigned>(cfg.get_int("threads", 0));
+  const auto reps = cfg.get_count("reps", 3u);
+  const auto threads = cfg.get_count("threads", 0u);
   const auto protocols =
       parse_protocols(cfg.get_string("protocols", "TS,AT,SIG,UIR,LAIR,PIG,HYB"));
   const std::string csv = cfg.get_string("csv", "");
@@ -145,8 +180,8 @@ int cmd_sweep(Config& cfg) {
     for (const auto& [name, _] : metric_registry()) std::cerr << "  " << name << "\n";
     return 2;
   }
-  const auto reps = static_cast<unsigned>(cfg.get_int("reps", 3));
-  const auto threads = static_cast<unsigned>(cfg.get_int("threads", 0));
+  const auto reps = cfg.get_count("reps", 3u);
+  const auto threads = cfg.get_count("threads", 0u);
   const auto protocols = parse_protocols(cfg.get_string("protocols", "TS,UIR,HYB"));
   const std::string csv = cfg.get_string("csv", "");
 

@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  const auto top = static_cast<std::size_t>(cfg.get_int("top", 10));
+  const auto top = cfg.get_count<std::size_t>("top", 10);
   const std::string timeline = cfg.get_string("timeline", "");
   const std::string jsonl = cfg.get_string("jsonl", "");
   const bool counted_only = cfg.get_bool("counted_only", true);
